@@ -1,10 +1,10 @@
 """Command-line driver: single runs, sweeps, and noise-trace dumps.
 
 Configuration comes from a JSON file and/or a named preset; command-line
-flags override file fields.  Every command writes a manifest first, then
-deterministic CSV data files, so re-running from the manifest reproduces
-the data byte for byte.  Exit codes: 0 success, 2 configuration error,
-1 runtime error.
+flags override file fields.  Every command validates its whole
+configuration, writes a manifest, then deterministic CSV data files, so
+re-running from the manifest reproduces the data byte for byte.  Exit
+codes: 0 success, 2 configuration error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -268,7 +268,6 @@ def _time_horizon(N: int, T: int | None, t_rule: str) -> int:
 def _cmd_run(args) -> int:
     config = _parse_run_config(_resolved_config(args, "run", {}))
     out_dir = _out_dir(args, "run")
-    _write_manifest(out_dir, "run", config, config["seed"])
 
     try:
         base = EnsembleConfig(
@@ -282,10 +281,6 @@ def _cmd_run(args) -> int:
             snapshot_single=config["snapshot_single"],
             update_cap=config["update_cap"],
         )
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc))
-
-    try:
         if config["sizes"] is not None:
             cfgs = [
                 scan_config(base, N, _time_horizon(N, config["T"], config["t_rule"]))
@@ -303,12 +298,21 @@ def _cmd_run(args) -> int:
             ]
     except InvalidParameterError as exc:
         raise ConfigError(str(exc))
+    for cfg in cfgs:
+        cfg.check_update_cap()
     # Multi-size runs average over windows proportional to each horizon so
-    # that the gamma fit is unbiased; a single size keeps sigma_window.
-    try:
-        windows = scaled_windows(config["sigma_window"], [cfg.T for cfg in cfgs])
-    except InvalidParameterError as exc:
-        raise ConfigError(f"field 'sigma_window': {exc}")
+    # that the gamma fit is unbiased, and every run must record its whole
+    # window.  A single size keeps sigma_window; nothing is fitted from its
+    # sigma_bar, which is null when the run is shorter than the window.
+    if config["sigma_window"] < 1:
+        raise ConfigError(f"field 'sigma_window': must be positive, got {config['sigma_window']}")
+    windows = [config["sigma_window"]]
+    if config["sizes"] is not None:
+        try:
+            windows = scaled_windows(config["sigma_window"], [cfg.T for cfg in cfgs])
+        except InvalidParameterError as exc:
+            raise ConfigError(f"field 'sigma_window': {exc}")
+    _write_manifest(out_dir, "run", config, config["seed"])
 
     entries = []
     points = []
@@ -380,7 +384,6 @@ def _parse_sweep_config(config: dict) -> dict:
 def _cmd_phase_diagram(args) -> int:
     config = _parse_sweep_config(_resolved_config(args, "phase-diagram", {}))
     out_dir = _out_dir(args, "phase-diagram")
-    _write_manifest(out_dir, "phase-diagram", config, config["seed"])
 
     try:
         base = EnsembleConfig(
@@ -393,8 +396,16 @@ def _cmd_phase_diagram(args) -> int:
             normalize_variance=config["normalize_variance"],
             update_cap=config["update_cap"],
         )
+        cfgs = [scan_config(base, N) for N in config["sizes"]]
     except InvalidParameterError as exc:
         raise ConfigError(str(exc))
+    for cfg in cfgs:
+        cfg.check_update_cap()
+    try:
+        scaled_windows(config["sigma_window"], [cfg.T for cfg in cfgs])
+    except InvalidParameterError as exc:
+        raise ConfigError(f"field 'sigma_window': {exc}")
+    _write_manifest(out_dir, "phase-diagram", config, config["seed"])
 
     sweep = phase_diagram_sweep(
         config["grid_alpha"],

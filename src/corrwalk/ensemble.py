@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from pathlib import Path
@@ -27,7 +29,7 @@ from .observables import (
     longtime_avg_dispersion,
     scaled_windows,
 )
-from .walk import evolve, initial_state_symmetric
+from .walk import WalkerState, evolve, initial_state_symmetric, light_cone, support
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +38,12 @@ log = logging.getLogger(__name__)
 BOUNDARY_CONTACT_EPS = 1e-8
 
 DEFAULT_UPDATE_CAP = 1_000_000_000
+
+# Most lattice sites (realizations x N) evolved together in one batch.  At
+# desk sizes a step costs mostly fixed per-call dispatch, which a batch
+# shares; beyond a few thousand sites the arrays outgrow the caches and
+# the peak memory of a run starts to grow.
+BATCH_SITES = 4096
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,15 @@ class EnsembleConfig:
         if self.update_cap < 1:
             raise InvalidParameterError(f"update_cap must be positive, got {self.update_cap}")
 
+    def check_update_cap(self) -> None:
+        """Raise ``ResourceLimitError`` if ``N * T`` exceeds ``update_cap``."""
+        updates = self.N * self.T
+        if updates > self.update_cap:
+            raise ResourceLimitError(
+                f"N*T = {updates} exceeds the configured cap of {self.update_cap} "
+                "amplitude updates per realization; raise update_cap to allow this run"
+            )
+
 
 @dataclass
 class EnsembleResult:
@@ -84,39 +101,54 @@ class EnsembleResult:
 
 
 class _StatsRecorder:
-    """Per-step observer recording dispersion, mean, snapshots, edge contact."""
+    """Per-step observer recording dispersion, mean, snapshots, edge contact.
 
-    def __init__(self, N: int, T: int, snapshot_times) -> None:
+    Works row by row on a ``(B, N)`` batch and, at step ``t``, reads only
+    the light cone ``t`` steps from the state it was built from: outside it
+    every probability is zero.
+    """
+
+    def __init__(self, state, T: int, snapshot_times) -> None:
+        B, N = state.up.shape
+        self.start = support(state)
         self.sites = np.arange(1.0, N + 1.0)
-        self.profile = np.empty(N)
-        self.work = np.empty(N)
-        self.sigma = np.zeros(T + 1)
-        self.mean = np.zeros(T + 1)
+        self.profile = np.zeros((B, N))
+        self.work = np.empty((B, N))
+        self.squares = np.empty((B, 2 * N))
+        self.sigma = np.zeros((B, T + 1))
+        self.mean = np.zeros((B, T + 1))
         self.snapshot_times = frozenset(int(t) for t in snapshot_times)
         self.snapshots: dict[int, np.ndarray] = {}
-        self.contact: int | None = None
+        self.contact = np.full(B, -1)
 
     def record(self, t: int, state) -> None:
-        p = self.profile
-        w = self.work
-        up = state.up
-        down = state.down
-        np.multiply(up.real, up.real, out=p)
-        np.multiply(up.imag, up.imag, out=w)
-        p += w
-        np.multiply(down.real, down.real, out=w)
-        p += w
-        np.multiply(down.imag, down.imag, out=w)
-        p += w
-        m = np.dot(self.sites, p)
-        np.subtract(self.sites, m, out=w)
+        cone = light_cone(self.start, t, self.sites.size)
+        p = self.profile[:, cone]
+        w = self.work[:, cone]
+        sites = self.sites[cone]
+        # P = re(up)^2 + im(up)^2 + re(down)^2 + im(down)^2, summed in that
+        # order; squaring the interleaved float view reads contiguous memory.
+        sq = self.squares[:, 2 * cone.start : 2 * cone.stop]
+        np.square(state.up[:, cone].view(np.float64), out=sq)
+        np.add(sq[:, 0::2], sq[:, 1::2], out=p)
+        np.square(state.down[:, cone].view(np.float64), out=sq)
+        p += sq[:, 0::2]
+        p += sq[:, 1::2]
+        # Elementwise products and row sums, not np.dot: a row's result
+        # does not depend on the batch, and no BLAS threads start.
+        np.multiply(sites, p, out=w)
+        m = w.sum(axis=-1)
+        np.subtract(sites, m[:, None], out=w)
         w *= w
-        self.mean[t] = m
-        self.sigma[t] = np.sqrt(np.dot(w, p))
-        if self.contact is None and p[0] + p[-1] > BOUNDARY_CONTACT_EPS:
-            self.contact = t
+        w *= p
+        self.mean[:, t] = m
+        self.sigma[:, t] = np.sqrt(w.sum(axis=-1))
+        # Before the cone reaches a chain end both end sites hold exactly 0.
+        if cone.start == 0 or cone.stop == self.sites.size:
+            ends = self.profile[:, 0] + self.profile[:, -1]
+            self.contact[(self.contact < 0) & (ends > BOUNDARY_CONTACT_EPS)] = t
         if t in self.snapshot_times:
-            self.snapshots[t] = p.copy()
+            self.snapshots[t] = self.profile.copy()
 
     __call__ = record
 
@@ -126,7 +158,7 @@ def run_realization(
     T: int,
     alpha_t: float,
     beta_s: float,
-    seed: int,
+    seed: int | Sequence[int],
     snapshot_times=(),
     normalize_variance: bool = False,
 ) -> TrajectoryStats:
@@ -134,32 +166,62 @@ def run_realization(
 
     The walker starts from the symmetric state at site ``N // 2``; fresh
     coin phases are generated from ``seed``.
+
+    ``seed`` may also be a sequence of ``B`` seeds: the realizations are
+    then evolved together as ``(B, N)`` arrays, the returned arrays gain a
+    leading realization axis and ``boundary_contact_time`` is a tuple with
+    one entry per realization.  Row ``b`` is bit for bit what the single
+    seed ``seed[b]`` gives.
     """
-    phases = generate_coin_phases(T, N, alpha_t, beta_s, seed, normalize=normalize_variance)
-    state = initial_state_symmetric(N)
-    recorder = _StatsRecorder(N, T, snapshot_times)
+    single = isinstance(seed, (int, np.integer))
+    seeds = [seed] if single else list(seed)
+    phases = [generate_coin_phases(T, N, alpha_t, beta_s, s, normalize=normalize_variance) for s in seeds]
+    start = initial_state_symmetric(N)
+    state = WalkerState(
+        up=np.tile(start.up, (len(seeds), 1)), down=np.tile(start.down, (len(seeds), 1))
+    )
+    recorder = _StatsRecorder(state, T, snapshot_times)
     recorder.record(0, state)
     evolve(state, phases, T, observer=recorder)
+    contact = tuple(int(c) if c >= 0 else None for c in recorder.contact)
+    row = 0 if single else slice(None)
     return TrajectoryStats(
         times=np.arange(T + 1),
-        mean_position=recorder.mean,
-        dispersion=recorder.sigma,
-        snapshots=recorder.snapshots or None,
-        boundary_contact_time=recorder.contact,
+        mean_position=recorder.mean[row],
+        dispersion=recorder.sigma[row],
+        snapshots={t: p[row] for t, p in recorder.snapshots.items()} or None,
+        boundary_contact_time=contact[0] if single else contact,
     )
 
 
-def _realization_task(args):
-    N, T, alpha_t, beta_s, seed, snapshot_times, normalize_variance = args
-    stats = run_realization(N, T, alpha_t, beta_s, seed, snapshot_times, normalize_variance)
+def _batch_task(args):
+    N, T, alpha_t, beta_s, seeds, snapshot_times, normalize_variance = args
+    stats = run_realization(N, T, alpha_t, beta_s, seeds, snapshot_times, normalize_variance)
     return stats.dispersion, stats.mean_position, stats.boundary_contact_time, stats.snapshots
+
+
+def _rows(batches):
+    """One ``(sigma, mean, contact, snapshots)`` row per realization, in order."""
+    for sigma, mean, contacts, snapshots in batches:
+        for b, contact in enumerate(contacts):
+            yield sigma[b], mean[b], contact, {t: p[b] for t, p in (snapshots or {}).items()}
+
+
+def _batch_size(N: int, R: int, workers: int) -> int:
+    """Realizations evolved together: at most ``BATCH_SITES`` sites, and at
+    least two batches per worker so that a pool stays busy."""
+    return max(1, min(BATCH_SITES // N, -(-R // (2 * workers))))
 
 
 def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> EnsembleResult:
     """Average trajectories over ``config.realizations`` independent draws.
 
     Realization ``r`` (1-based) uses coin phases seeded by
-    ``derive_seed(master_seed, r)``.  Per-realization results are
+    ``derive_seed(master_seed, r)``.  Contiguous runs of realizations are
+    evolved together in batches (``run_realization`` with a seed
+    sequence) whose size depends on ``N``, the realization count and the
+    worker count only; a realization's row does not depend on its batch.
+    Per-realization results are
     accumulated strictly in realization order, so the output is
     bit-identical for a fixed master seed no matter how many workers are
     used.
@@ -169,35 +231,31 @@ def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> Ensemble
     ResourceLimitError
         If ``N * T`` exceeds ``config.update_cap``.
     """
-    updates = config.N * config.T
-    if updates > config.update_cap:
-        raise ResourceLimitError(
-            f"N*T = {updates} exceeds the configured cap of {config.update_cap} "
-            "amplitude updates per realization; raise update_cap to allow this run"
-        )
+    config.check_update_cap()
     seeds = [derive_seed(config.master_seed, r) for r in range(1, config.realizations + 1)]
+    workers = max(1, workers or 1)
+    B = _batch_size(config.N, config.realizations, workers)
     tasks = [
         (
             config.N,
             config.T,
             config.alpha_t,
             config.beta_s,
-            seed,
+            tuple(seeds[i : i + B]),
             config.snapshot_times,
             config.normalize_variance,
         )
-        for seed in seeds
+        for i in range(0, len(seeds), B)
     ]
 
     started = time.perf_counter()
-    if workers is None or workers <= 1:
-        results = map(_realization_task, tasks)
-        stats, contacted = _reduce(results, config)
+    if workers == 1:
+        stats, contacted = _reduce(_rows(map(_batch_task, tasks)), config)
     else:
         chunksize = max(1, len(tasks) // (workers * 4))
         with Pool(processes=workers) as pool:
-            results = pool.imap(_realization_task, tasks, chunksize=chunksize)
-            stats, contacted = _reduce(results, config)
+            results = pool.imap(_batch_task, tasks, chunksize=chunksize)
+            stats, contacted = _reduce(_rows(results), config)
     elapsed = time.perf_counter() - started
 
     return EnsembleResult(
@@ -312,27 +370,48 @@ def _cell_path(out_dir: Path, i: int, j: int) -> Path:
     return out_dir / "cells" / f"cell_{i:03d}_{j:03d}.json"
 
 
-def _load_cell(path: Path, alpha: float, beta: float, sizes, windows) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        cell = json.load(fh)
-    if cell.get("alpha") != alpha or cell.get("beta") != beta:
+def _load_cell(path: Path, expected: dict) -> dict:
+    """Read a finished cell, refusing a damaged one or one computed with
+    other settings: ``expected`` holds this sweep's ``alpha``, ``beta``,
+    ``windows``, ``master_seed``, ``realizations`` and
+    ``normalize_variance``, and ``sizes`` must match the cell's points."""
+    redo = "recompute it with --force (force=True) or use a fresh output directory"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cell = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidParameterError(f"{path} is not a readable cell file ({exc}); {redo}")
+    if not isinstance(cell, dict) or not {"gamma", "stderr", "regime", "points"} <= cell.keys():
+        raise InvalidParameterError(f"{path} is not a complete cell file; {redo}")
+    for key in ("alpha", "beta", "master_seed", "realizations", "normalize_variance"):
+        if cell.get(key) != expected[key]:
+            raise InvalidParameterError(
+                f"{path} was computed with {key} = {cell.get(key)!r}, not {expected[key]!r}; {redo}"
+            )
+    cell_sizes = [int(n) for n, _ in cell["points"]]
+    if cell_sizes != expected["sizes"]:
         raise InvalidParameterError(
-            f"{path} holds a result for (alpha={cell.get('alpha')}, beta={cell.get('beta')}), "
-            f"not (alpha={alpha}, beta={beta}); use force=True or a fresh output directory"
+            f"{path} was computed for sizes {cell_sizes}, not {expected['sizes']}; {redo}"
         )
-    cell_sizes = tuple(int(n) for n, _ in cell.get("points", ()))
-    if cell_sizes != tuple(sizes):
+    if cell.get("windows") != expected["windows"]:
         raise InvalidParameterError(
-            f"{path} was computed for sizes {list(cell_sizes)}, not {list(sizes)}; "
-            "use force=True or a fresh output directory"
-        )
-    if cell.get("windows") != windows:
-        raise InvalidParameterError(
-            f"{path} records averaging windows {cell.get('windows')}, not {windows}; "
-            "its gamma came from another long-time estimator: recompute it with --force "
-            "(force=True) or use a fresh output directory"
+            f"{path} records averaging windows {cell.get('windows')}, not {expected['windows']}; "
+            f"its gamma came from another long-time estimator: {redo}"
         )
     return cell
+
+
+def _write_cell(path: Path, cell: dict) -> None:
+    """Write a cell file whole or not at all: an interrupted write leaves a
+    stray temporary file, never a truncated cell for a later resume."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(cell, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def phase_diagram_sweep(
@@ -351,11 +430,13 @@ def phase_diagram_sweep(
     Every cell runs an independent size scan (seeded from the base master
     seed and the cell indices, averaging over ``size_scan``'s horizon-
     proportional windows), fits gamma, and classifies the regime.  With
-    ``out_dir`` set, each completed cell is persisted as JSON under
-    ``cells/``, including the averaging window used for each size, and
-    re-runs skip cells whose files already exist unless ``force`` is
-    true.  A cell file whose sizes or windows differ from this sweep's is
-    refused rather than mixed into the grid.
+    ``out_dir`` set, each completed cell is written atomically as JSON
+    under ``cells/``, with the settings it was computed with (averaging
+    window per size, derived master seed, realization count, variance
+    normalisation), and re-runs skip cells whose files already exist
+    unless ``force`` is true.  A cell file that cannot be read, or whose
+    sizes or settings differ from this sweep's, is refused rather than
+    mixed into the grid.
     """
     alphas = tuple(float(a) for a in grid_alpha)
     betas = tuple(float(b) for b in grid_beta)
@@ -377,32 +458,35 @@ def phase_diagram_sweep(
     for i, alpha in enumerate(alphas):
         for j, beta in enumerate(betas):
             cell_file = _cell_path(root, i, j) if root is not None else None
+            cell_base = replace(
+                base,
+                alpha_t=alpha,
+                beta_s=beta,
+                master_seed=derive_seed(base.master_seed, "cell", i, j),
+            )
+            settings = {
+                "alpha": alpha,
+                "beta": beta,
+                "windows": windows,
+                "master_seed": cell_base.master_seed,
+                "realizations": base.realizations,
+                "normalize_variance": base.normalize_variance,
+            }
             if cell_file is not None and cell_file.exists() and not force:
-                cell = _load_cell(cell_file, alpha, beta, ordered_sizes, windows)
+                cell = _load_cell(cell_file, {**settings, "sizes": list(ordered_sizes)})
                 log.info("cell (alpha=%g, beta=%g): reusing %s", alpha, beta, cell_file)
             else:
-                cell_base = replace(
-                    base,
-                    alpha_t=alpha,
-                    beta_s=beta,
-                    master_seed=derive_seed(base.master_seed, "cell", i, j),
-                )
                 cell_points = size_scan(cell_base, ordered_sizes, window_len=window_len, workers=workers)
                 g, se = fit_gamma(cell_points)
                 cell = {
-                    "alpha": alpha,
-                    "beta": beta,
+                    **settings,
                     "gamma": g,
                     "stderr": se,
                     "regime": classify_regime(g).value,
                     "points": [[n, s] for n, s in cell_points],
-                    "windows": windows,
-                    "master_seed": cell_base.master_seed,
                 }
                 if cell_file is not None:
-                    with open(cell_file, "w", encoding="utf-8", newline="\n") as fh:
-                        json.dump(cell, fh, indent=2, sort_keys=True)
-                        fh.write("\n")
+                    _write_cell(cell_file, cell)
                 log.info("cell (alpha=%g, beta=%g): gamma=%.4f (%s)", alpha, beta, g, cell["regime"])
             gamma[i, j] = cell["gamma"]
             stderr[i, j] = cell["stderr"]

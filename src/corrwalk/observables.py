@@ -30,19 +30,24 @@ class TrajectoryStats:
     at which the probability at the chain ends exceeded the contact
     threshold (None if it never did); statistics past that time include
     wrap-around artefacts.
+
+    A batch of ``B`` realizations (``run_realization`` with a seed
+    sequence) carries ``(B, T + 1)`` mean and dispersion arrays, ``(B, N)``
+    snapshots and one contact time per realization in a tuple.
     """
 
     times: np.ndarray
     mean_position: np.ndarray
     dispersion: np.ndarray
     snapshots: dict[int, np.ndarray] | None = None
-    boundary_contact_time: int | None = None
+    boundary_contact_time: int | None | tuple[int | None, ...] = None
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=np.int64)
         self.mean_position = np.asarray(self.mean_position, dtype=np.float64)
         self.dispersion = np.asarray(self.dispersion, dtype=np.float64)
-        if not (self.times.shape == self.mean_position.shape == self.dispersion.shape):
+        if not (self.times.shape == self.mean_position.shape[-1:] == self.dispersion.shape[-1:]
+                and self.mean_position.shape == self.dispersion.shape):
             raise InvalidParameterError("times, mean_position, and dispersion must share one length")
         if self.times.ndim != 1 or self.times.size == 0:
             raise InvalidParameterError("trajectory must contain at least one entry")
@@ -175,6 +180,13 @@ def scaled_windows(window_len: int, horizons) -> list[int]:
     upwards.  Horizons equal to ``T_min`` keep exactly ``window_len``
     (so one shared horizon changes nothing); longer ones are capped at
     their ``T + 1`` recorded entries.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``window_len`` is not positive, a horizon is not positive, or
+        the shortest run records fewer than ``window_len`` entries
+        (``window_len > T_min + 1``).
     """
     if window_len < 1:
         raise InvalidParameterError(f"window_len must be positive, got {window_len}")
@@ -182,6 +194,11 @@ def scaled_windows(window_len: int, horizons) -> list[int]:
     if not ts or min(ts) < 1:
         raise InvalidParameterError(f"horizons must be positive integers, got {ts}")
     t_min = min(ts)
+    if window_len > t_min + 1:
+        raise InvalidParameterError(
+            f"averaging window of {window_len} steps exceeds the {t_min + 1} entries "
+            f"recorded by the shortest run (T = {t_min})"
+        )
     return [window_len if t == t_min else min(window_len * t // t_min, t + 1) for t in ts]
 
 

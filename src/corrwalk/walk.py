@@ -10,7 +10,7 @@ shifts: spin-up amplitude gathers from site ``n + 1``, spin-down from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -56,7 +56,11 @@ def coin_matrix(params: CoinParameters) -> np.ndarray:
 
 @dataclass
 class WalkerState:
-    """Two complex amplitude arrays over N sites at one time step."""
+    """Two complex amplitude arrays over N sites at one time step.
+
+    The arrays have shape ``(N,)`` for one walker or ``(B, N)`` for a
+    batch of ``B`` walkers on the same lattice, one walker per row.
+    """
 
     up: np.ndarray
     down: np.ndarray
@@ -65,19 +69,23 @@ class WalkerState:
     def __post_init__(self) -> None:
         self.up = np.asarray(self.up, dtype=np.complex128)
         self.down = np.asarray(self.down, dtype=np.complex128)
-        if self.up.ndim != 1 or self.up.shape != self.down.shape:
-            raise InvalidParameterError("up and down must be 1-D arrays of identical length")
-        if self.up.size < 2:
-            raise InvalidParameterError(f"lattice needs at least 2 sites, got {self.up.size}")
+        if self.up.ndim not in (1, 2) or self.up.shape != self.down.shape:
+            raise InvalidParameterError("up and down must be (N,) or (B, N) arrays of identical shape")
+        if self.up.shape[-1] < 2:
+            raise InvalidParameterError(f"lattice needs at least 2 sites, got {self.up.shape[-1]}")
         if self.time < 0:
             raise InvalidParameterError(f"time must be non-negative, got {self.time}")
 
     @property
     def lattice_size(self) -> int:
+        """Sites held, which one step updates: ``N``, or ``B * N`` for a batch."""
         return self.up.size
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.up, self.up).real + np.vdot(self.down, self.down).real))
+    def norm(self):
+        """Euclidean norm: a float for one walker, one value per row for a batch."""
+        sq = self.up.real**2 + self.up.imag**2 + self.down.real**2 + self.down.imag**2
+        norms = np.sqrt(sq.sum(axis=-1))
+        return float(norms) if norms.ndim == 0 else norms
 
     def copy(self) -> "WalkerState":
         return WalkerState(self.up.copy(), self.down.copy(), self.time)
@@ -142,30 +150,59 @@ def _phi_values(phi, N: int) -> np.ndarray:
     return values
 
 
+def support(state: WalkerState) -> tuple[int, int]:
+    """First and last 0-based site holding a nonzero amplitude in any row.
+
+    A state with no nonzero amplitude spans the whole lattice.
+    """
+    occupied = (state.up != 0) | (state.down != 0)
+    sites = np.flatnonzero(occupied.reshape(-1, occupied.shape[-1]).any(axis=0))
+    if sites.size == 0:
+        return 0, occupied.shape[-1] - 1
+    return int(sites[0]), int(sites[-1])
+
+
+def light_cone(start: tuple[int, int], steps: int, N: int) -> slice:
+    """Columns that can hold nonzero amplitude ``steps`` steps after ``start``.
+
+    Each step widens the support ``start`` (as from ``support``) by one
+    site on either side.  Once that reaches a chain end the periodic wrap
+    can carry amplitude anywhere, so the cone is the whole lattice.  Step
+    ``t`` of ``evolve`` updates exactly the columns of cone ``t``, and
+    everything outside them is zero.
+    """
+    lo, hi = start[0] - steps, start[1] + steps
+    if lo < 0 or hi >= N:
+        return slice(0, N)
+    return slice(lo, hi + 1)
+
+
 def _step_kernel(u, d, exp_theta, exp_phi_scaled, out_up, out_down, scratch) -> None:
+    # Along the last axis (sites), row by row:
     # out_up[n]   = (u[n+1] + e^{i theta} d[n+1]) / sqrt(2)
     # out_down[n] = e^{i phi_n} (u[n-1] - e^{i theta} d[n-1]) / sqrt(2)
-    # exp_phi_scaled already carries the 1/sqrt(2) factor.
+    # exp_theta holds one factor per row; exp_phi_scaled already carries
+    # the 1/sqrt(2) factor.
     np.multiply(d, exp_theta, out=scratch)
     np.add(u, scratch, out=out_down)  # out_down used as a temporary here
-    out_up[:-1] = out_down[1:]
-    out_up[-1] = out_down[0]
+    out_up[..., :-1] = out_down[..., 1:]
+    out_up[..., -1] = out_down[..., 0]
     out_up *= INV_SQRT2
     np.subtract(u, scratch, out=scratch)
-    out_down[1:] = scratch[:-1]
-    out_down[0] = scratch[-1]
+    out_down[..., 1:] = scratch[..., :-1]
+    out_down[..., 0] = scratch[..., -1]
     out_down *= exp_phi_scaled
 
 
 def step(state: WalkerState, theta_t: float, phi) -> WalkerState:
-    """Advance the state by one time step.
+    """Advance one walker by one time step.
 
     ``theta_t`` is the temporal coin phase for this step; ``phi`` the
     per-site phase sequence (applied at the destination site of the
     spin-down shift).  Site indices wrap periodically.  The map is unitary
     for every phase choice, so the norm is preserved.
     """
-    values = _phi_values(phi, state.lattice_size)
+    values = _phi_values(phi, state.up.shape[-1])
     exp_theta = complex(np.exp(1j * float(theta_t)))
     exp_phi_scaled = np.exp(1j * values)
     exp_phi_scaled *= INV_SQRT2
@@ -178,11 +215,17 @@ def step(state: WalkerState, theta_t: float, phi) -> WalkerState:
 
 def evolve(
     state: WalkerState,
-    phases: CoinPhases,
+    phases: CoinPhases | Sequence[CoinPhases],
     T: int,
     observer: Callable[[int, WalkerState], None] | None = None,
 ) -> WalkerState:
     """Apply ``T`` steps, using ``theta[t-1]`` for step ``t`` and fixed ``phi``.
+
+    ``phases`` is one ``CoinPhases`` for a ``(N,)`` state, or a sequence
+    of them, one per row, for a ``(B, N)`` batch.  Step ``t`` updates only
+    the columns of ``light_cone(support(state), t, N)``; the amplitudes
+    are bit for bit those of stepping the whole lattice, and row ``b`` of
+    a batch is bit for bit the walker evolved alone.
 
     The observer, if given, is called as ``observer(t, state_t)`` after
     each step with ``t`` counted from ``state.time``.  The state handed to
@@ -192,32 +235,44 @@ def evolve(
     Raises
     ------
     InvalidParameterError
-        If fewer than ``T`` temporal phases are available or the spatial
-        sequence does not match the lattice size.
+        If fewer than ``T`` temporal phases are available, the spatial
+        sequences do not match the lattice size, or a batch does not get
+        one ``CoinPhases`` per row.
     """
     if not isinstance(T, (int, np.integer)) or T < 0:
         raise InvalidParameterError(f"T must be a non-negative integer, got {T}")
-    if len(phases.theta) < T:
-        raise InvalidParameterError(
-            f"need {T} temporal phases, sequence has {len(phases.theta)}"
-        )
-    phi_values = _phi_values(phases.phi, state.lattice_size)
+    shape = state.up.shape
+    N = shape[-1]
+    rows = list(phases) if state.up.ndim == 2 else [phases]
+    if len(rows) != state.up.size // N:
+        raise InvalidParameterError(f"a batch of {shape[0]} walkers needs as many CoinPhases, got {len(rows)}")
+    for row in rows:
+        if len(row.theta) < T:
+            raise InvalidParameterError(f"need {T} temporal phases, sequence has {len(row.theta)}")
+    exp_phi_scaled = np.exp(1j * np.stack([_phi_values(row.phi, N) for row in rows]).reshape(shape))
+    exp_phi_scaled *= INV_SQRT2
     if T == 0:
         return state.copy()
-
-    exp_theta = np.exp(1j * phases.theta.values[:T])
-    exp_phi_scaled = np.exp(1j * phi_values)
-    exp_phi_scaled *= INV_SQRT2
+    theta = np.stack([row.theta.values[:T] for row in rows], axis=-1)
+    exp_theta = np.exp(1j * theta).reshape(T, *shape[:-1], 1)
 
     u = state.up.copy()
     d = state.down.copy()
-    buf_u = np.empty_like(u)
-    buf_d = np.empty_like(d)
+    # Outside the stepped columns the buffers must hold zeros, as the
+    # amplitudes there do.
+    buf_u = np.zeros_like(u)
+    buf_d = np.zeros_like(d)
     scratch = np.empty_like(u)
+    start = support(state)
     current = WalkerState(up=u, down=d, time=state.time) if observer is not None else None
 
     for t in range(1, T + 1):
-        _step_kernel(u, d, exp_theta[t - 1], exp_phi_scaled, buf_u, buf_d, scratch)
+        # Columns past the cone stay zero, and the cone is at least one
+        # site wider on each side than the support it steps from, so the
+        # kernel's periodic wrap inside the slice only moves zeros.
+        w = light_cone(start, t, N)
+        _step_kernel(u[..., w], d[..., w], exp_theta[t - 1], exp_phi_scaled[..., w],
+                     buf_u[..., w], buf_d[..., w], scratch[..., w])
         u, buf_u = buf_u, u
         d, buf_d = buf_d, d
         if observer is not None:

@@ -138,6 +138,24 @@ class TestRun:
         assert manifest["master_seed"] == 99
 
 
+    def test_sizes_window_longer_than_shortest_run_exit_2(self, tmp_path, capsys):
+        cfg = run_config(tmp_path)
+        config = json.loads(cfg.read_text())
+        del config["N"], config["T"]
+        config.update(sizes=[16, 32, 64], sigma_window=20)
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "sigma_window" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_size_keeps_a_window_longer_than_the_run(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(run_config(tmp_path, sigma_window=100)), "--out", str(out)]) == 0
+        entry = json.loads((out / "summary.json").read_text())["results"][0]
+        assert entry["sigma_bar"] is None and entry["sigma_window"] == 100
+
+
 class TestPhaseDiagram:
     def write_sweep_config(self, tmp_path):
         path = tmp_path / "sweep.json"
@@ -198,6 +216,39 @@ class TestPhaseDiagram:
         assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "cell_000_000.json" in err and "--force" in err
+
+
+    def test_window_longer_than_shortest_run_exit_2_before_compute(self, tmp_path, capsys):
+        cfg = self.write_sweep_config(tmp_path)
+        config = json.loads(cfg.read_text())
+        del config["sigma_window"]  # default 100 > 33 entries at N = 64
+        config["sizes"] = [64, 128, 256]
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "sigma_window" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_with_another_seed_exit_2(self, tmp_path, capsys):
+        cfg = self.write_sweep_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+        grid = (out / "grid.csv").read_bytes()
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out), "--seed", "99"]) == 2
+        err = capsys.readouterr().err
+        assert "cell_000_000.json" in err and "master_seed" in err and "--force" in err
+        assert (out / "grid.csv").read_bytes() == grid
+
+    def test_truncated_cell_exit_2(self, tmp_path, capsys):
+        cfg = self.write_sweep_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 0
+        cell = out / "cells" / "cell_000_000.json"
+        cell.write_bytes(cell.read_bytes()[:-20])
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(cell) in err and "--force" in err
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out), "--force"]) == 0
 
 
 class TestPresets:

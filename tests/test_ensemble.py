@@ -15,7 +15,9 @@ from corrwalk import (
     run_realization,
     size_scan,
 )
-from corrwalk.ensemble import scan_config
+from corrwalk.ensemble import _batch_size, scan_config
+from corrwalk.noise import generate_coin_phases
+from corrwalk.walk import initial_state_symmetric, step
 
 
 def small_config(**overrides):
@@ -138,6 +140,66 @@ class TestRunEnsemble:
         result = run_ensemble(config)
         assert result.stats.boundary_contact_time is not None
         assert result.contacted_realizations == 2
+
+
+class TestBatches:
+    def test_batch_rows_match_single_realizations_bit_for_bit(self):
+        # T > N/2: the cone reaches the chain ends and contact fires.
+        N, T = 48, 60
+        seeds = [derive_seed(21, r) for r in range(1, 9)]
+        snaps = (0, 12, 30, 60)
+        batch = run_realization(N, T, 4.0, 4.0, seeds, snapshot_times=snaps)
+        assert batch.dispersion.shape == (8, T + 1)
+        assert all(c is not None for c in batch.boundary_contact_time)
+        for b, seed in enumerate(seeds):
+            alone = run_realization(N, T, 4.0, 4.0, seed, snapshot_times=snaps)
+            np.testing.assert_array_equal(batch.dispersion[b], alone.dispersion)
+            np.testing.assert_array_equal(batch.mean_position[b], alone.mean_position)
+            for t in snaps:
+                np.testing.assert_array_equal(batch.snapshots[t][b], alone.snapshots[t])
+            assert batch.boundary_contact_time[b] == alone.boundary_contact_time
+
+    def test_batch_size_from_lattice_realizations_and_workers(self):
+        assert _batch_size(64, 200, 2) == 50
+        assert _batch_size(256, 200, 2) == 16
+        assert _batch_size(1000, 200, 1) == 4
+        assert _batch_size(4000, 16, 1) == 1
+        assert _batch_size(20000, 8, 2) == 1
+        assert _batch_size(64, 3, 4) == 1
+
+    def test_workers_give_identical_results_with_batches(self):
+        config = small_config(N=40, T=36, alpha_t=4.0, beta_s=4.0, realizations=20, snapshot_times=(10, 36))
+        assert _batch_size(config.N, config.realizations, 1) == 10
+        assert _batch_size(config.N, config.realizations, 2) == 5
+        serial = run_ensemble(config, workers=1)
+        pooled = run_ensemble(config, workers=2)
+        np.testing.assert_array_equal(serial.stats.dispersion, pooled.stats.dispersion)
+        np.testing.assert_array_equal(serial.stats.mean_position, pooled.stats.mean_position)
+        for t in config.snapshot_times:
+            np.testing.assert_array_equal(serial.stats.snapshots[t], pooled.stats.snapshots[t])
+        assert serial.stats.boundary_contact_time == pooled.stats.boundary_contact_time
+        assert serial.contacted_realizations == pooled.contacted_realizations > 0
+
+    def test_averaged_snapshots_equal_full_lattice_stepping_exactly(self):
+        # The profile average as computed before batching and windowing:
+        # every realization stepped on the whole lattice, summed in order.
+        config = small_config(N=50, T=40, alpha_t=2.0, beta_s=1.0, realizations=7, snapshot_times=(15, 40))
+        expected = {t: np.zeros(config.N) for t in config.snapshot_times}
+        for r in range(1, config.realizations + 1):
+            seed = derive_seed(config.master_seed, r)
+            phases = generate_coin_phases(config.T, config.N, config.alpha_t, config.beta_s, seed)
+            state = initial_state_symmetric(config.N)
+            for t in range(1, config.T + 1):
+                state = step(state, phases.theta.values[t - 1], phases.phi)
+                if t in expected:
+                    p = state.up.real * state.up.real
+                    p += state.up.imag * state.up.imag
+                    p += state.down.real * state.down.real
+                    p += state.down.imag * state.down.imag
+                    expected[t] += p
+        result = run_ensemble(config)
+        for t in config.snapshot_times:
+            np.testing.assert_array_equal(result.stats.snapshots[t], expected[t] / config.realizations)
 
 
 class TestEnsemblePhysics:
@@ -304,3 +366,38 @@ class TestPhaseDiagramSweep:
     def test_rejects_empty_grid(self):
         with pytest.raises(InvalidParameterError):
             phase_diagram_sweep([], [0.0], small_config(), sizes=(32, 64, 128))
+
+    def _one_cell(self, tmp_path, **overrides):
+        kwargs = dict(base=small_config(realizations=2), sizes=(32, 64, 128), window_len=8, out_dir=tmp_path)
+        kwargs.update(overrides)
+        return phase_diagram_sweep([0.0], [0.0], **kwargs)
+
+    def test_cell_records_its_settings(self, tmp_path):
+        self._one_cell(tmp_path)
+        cell = json.loads((tmp_path / "cells" / "cell_000_000.json").read_text())
+        assert cell["realizations"] == 2
+        assert cell["normalize_variance"] is False
+        assert cell["master_seed"] == derive_seed(123, "cell", 0, 0)
+        assert [p.name for p in (tmp_path / "cells").iterdir()] == ["cell_000_000.json"]
+
+    @pytest.mark.parametrize(
+        "changed, key",
+        [
+            (dict(master_seed=124), "master_seed"),
+            (dict(realizations=3), "realizations"),
+            (dict(normalize_variance=True), "normalize_variance"),
+        ],
+    )
+    def test_changed_settings_rejected_on_resume(self, tmp_path, changed, key):
+        self._one_cell(tmp_path)
+        with pytest.raises(InvalidParameterError, match=f"cell_000_000.json.*{key}.*--force"):
+            self._one_cell(tmp_path, base=small_config(**{"realizations": 2, **changed}))
+
+    def test_truncated_cell_reported_by_path(self, tmp_path):
+        self._one_cell(tmp_path)
+        cell = tmp_path / "cells" / "cell_000_000.json"
+        cell.write_bytes(cell.read_bytes()[:40])
+        with pytest.raises(InvalidParameterError, match="cell_000_000.json.*--force"):
+            self._one_cell(tmp_path)
+        forced = self._one_cell(tmp_path, force=True)
+        assert json.loads(cell.read_text())["gamma"] == forced.gamma[0, 0]

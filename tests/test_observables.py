@@ -188,6 +188,11 @@ class TestScaledWindows:
         # average more than its own 21.
         assert scaled_windows(11, [10, 20]) == [11, 21]
 
+    def test_rejects_window_longer_than_shortest_run(self):
+        assert scaled_windows(9, [8, 16]) == [9, 17]
+        with pytest.raises(InvalidParameterError, match="10 steps exceeds the 9 entries"):
+            scaled_windows(10, [16, 8, 32])
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidParameterError):
             scaled_windows(0, [10, 20])

@@ -14,6 +14,7 @@ from corrwalk import (
     probability_profile,
     step,
 )
+from corrwalk.walk import WalkerState, light_cone, support
 
 from _oracles import as_vector, dense_step_unitary
 
@@ -248,3 +249,79 @@ class TestEvolve:
         state = initial_state_symmetric(8)
         with pytest.raises(InvalidParameterError):
             evolve(state, zero_phases(4, 6), 2)
+
+
+def random_phases(rng, T, N):
+    return CoinPhases(
+        theta=PhaseSequence(rng.uniform(0, 2 * np.pi, T)), phi=PhaseSequence(rng.uniform(0, 2 * np.pi, N))
+    )
+
+
+class TestLightCone:
+    def test_cone_widens_by_one_site_per_step(self):
+        assert light_cone((10, 12), 0, 40) == slice(10, 13)
+        assert light_cone((10, 12), 3, 40) == slice(7, 16)
+        assert light_cone((10, 12), 10, 40) == slice(0, 23)
+
+    def test_cone_is_whole_lattice_past_a_chain_end(self):
+        assert light_cone((10, 12), 11, 40) == slice(0, 40)
+        assert light_cone((0, 3), 1, 40) == slice(0, 40)
+        assert light_cone((20, 39), 1, 40) == slice(0, 40)
+
+    def test_support_spans_every_row(self):
+        up = np.zeros((2, 12), complex)
+        down = np.zeros((2, 12), complex)
+        up[0, 4] = 1.0
+        down[1, 9] = 1.0
+        assert support(WalkerState(up, down)) == (4, 9)
+        assert support(initial_state_symmetric(12)) == (5, 5)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [(10, 0.6, 0.8j)],
+            [(7, 1.0, 0.5), (9, -0.3j, 0.2), (12, 0.1, 1.0)],
+            [(1, 0.6, 0.8)],  # on the first site: the full lattice from t = 0
+            [(24, 1.0, 1.0j)],  # on the last site
+            [(1, 1.0, 0.0), (24, 0.0, 1.0)],
+        ],
+    )
+    def test_windowed_evolve_matches_dense_oracle_and_full_lattice(self, entries):
+        N, T = 24, 30
+        rng = np.random.default_rng(len(entries) + entries[0][0])
+        phases = random_phases(rng, T, N)
+        state, _ = initial_state_generic(N, entries)
+
+        vec = as_vector(state)
+        full = state
+        seen = {}
+        evolve(state, phases, T, observer=lambda t, s: seen.setdefault(t, (s.up.copy(), s.down.copy())))
+        for t in range(1, T + 1):
+            vec = dense_step_unitary(phases.theta.values[t - 1], phases.phi.values) @ vec
+            full = step(full, phases.theta.values[t - 1], phases.phi)
+            up, down = seen[t]
+            np.testing.assert_allclose(np.concatenate([up, down]), vec, atol=1e-12)
+            # Stepping only the light cone changes no amplitude's bits.
+            np.testing.assert_array_equal(up, full.up)
+            np.testing.assert_array_equal(down, full.down)
+
+    def test_batch_rows_are_the_walkers_evolved_alone(self):
+        N, T, B = 40, 45, 5
+        rng = np.random.default_rng(8)
+        phases = [random_phases(rng, T, N) for _ in range(B)]
+        start = initial_state_symmetric(N)
+        batch = WalkerState(np.tile(start.up, (B, 1)), np.tile(start.down, (B, 1)))
+        out = evolve(batch, phases, T)
+        assert batch.lattice_size == B * N
+        for b in range(B):
+            alone = evolve(start, phases[b], T)
+            np.testing.assert_array_equal(out.up[b], alone.up)
+            np.testing.assert_array_equal(out.down[b], alone.down)
+        np.testing.assert_allclose(out.norm(), np.ones(B), atol=1e-12)
+
+    def test_batch_needs_one_phase_set_per_row(self):
+        N = 10
+        rng = np.random.default_rng(0)
+        batch = WalkerState(np.ones((3, N), complex), np.zeros((3, N), complex))
+        with pytest.raises(InvalidParameterError, match="CoinPhases"):
+            evolve(batch, [random_phases(rng, 4, N)] * 2, 4)
