@@ -42,9 +42,7 @@ from .observables import (
     probability_profile,
 )
 from .walk import (
-    CoinParameters,
     WalkerState,
-    coin_matrix,
     evolve,
     initial_state_generic,
     initial_state_symmetric,
@@ -54,7 +52,6 @@ from .walk import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoinParameters",
     "CoinPhases",
     "CorrelationSpec",
     "DegenerateSeriesError",
@@ -69,7 +66,6 @@ __all__ = [
     "TrajectoryStats",
     "WalkerState",
     "classify_regime",
-    "coin_matrix",
     "derive_seed",
     "dispersion",
     "evolve",

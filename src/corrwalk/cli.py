@@ -124,6 +124,27 @@ def _field(config: dict, name: str, kind, *, required: bool = False, default=Non
     raise ConfigError(f"field {name!r}: expected {kind.__name__}, got {value!r}")
 
 
+def _sizes_field(config: dict, *, required: bool = False) -> list[int] | None:
+    sizes = _field(config, "sizes", list, required=required)
+    if sizes is None:
+        return None
+    sizes = [_field({"sizes": n}, "sizes", int) for n in sizes]
+    if len(set(sizes)) < len(sizes):
+        raise ConfigError(f"field 'sizes': lattice sizes must be distinct, got {sizes}")
+    return sizes
+
+
+def _grid_field(config: dict, name: str) -> list[float]:
+    """A sweep axis: a non-empty list of finite non-negative exponents."""
+    grid = [_field({name: v}, name, float) for v in _field(config, name, list, required=True)]
+    if not grid:
+        raise ConfigError(f"field {name!r}: must hold at least one value")
+    for value in grid:
+        if value < 0:
+            raise ConfigError(f"field {name!r}: values must be finite and non-negative, got {value!r}")
+    return grid
+
+
 def _out_dir(args, command: str) -> Path:
     if args.out:
         return Path(args.out)
@@ -218,11 +239,9 @@ def _cmd_trace(args) -> int:
 
 def _parse_run_config(config: dict) -> dict:
     N = _field(config, "N", int)
-    sizes = _field(config, "sizes", list)
+    sizes = _sizes_field(config)
     if (N is None) == (sizes is None):
         raise ConfigError("fields 'N'/'sizes': exactly one must be set")
-    if sizes is not None:
-        sizes = [int(n) for n in sizes]
 
     T = _field(config, "T", int)
     t_rule = config.get("t_rule")
@@ -364,15 +383,15 @@ def _cmd_run(args) -> int:
 
 
 def _parse_sweep_config(config: dict) -> dict:
-    grid_alpha = _field(config, "grid_alpha", list, required=True)
-    grid_beta = _field(config, "grid_beta", list, required=True)
-    sizes = _field(config, "sizes", list, required=True)
+    grid_alpha = _grid_field(config, "grid_alpha")
+    grid_beta = _grid_field(config, "grid_beta")
+    sizes = _sizes_field(config, required=True)
     if len(sizes) < 3:
         raise ConfigError("field 'sizes': need at least 3 lattice sizes")
     return {
-        "grid_alpha": [float(a) for a in grid_alpha],
-        "grid_beta": [float(b) for b in grid_beta],
-        "sizes": [int(n) for n in sizes],
+        "grid_alpha": grid_alpha,
+        "grid_beta": grid_beta,
+        "sizes": sizes,
         "realizations": _field(config, "realizations", int, default=200),
         "seed": _field(config, "seed", int, default=0),
         "sigma_window": _field(config, "sigma_window", int, default=100),

@@ -105,27 +105,34 @@ class _StatsRecorder:
 
     Works row by row on a ``(B, N)`` batch and, at step ``t``, reads only
     the light cone ``t`` steps from the state it was built from: outside it
-    every probability is zero.
+    every probability is zero.  Mean and dispersion are recorded from step
+    ``record_from`` on and stay NaN before it.  An earlier step is skipped
+    unless it is a snapshot time or the cone has reached a chain end,
+    which contact needs and which no earlier step can show.
     """
 
-    def __init__(self, state, T: int, snapshot_times) -> None:
+    def __init__(self, state, T: int, snapshot_times, record_from: int = 0) -> None:
         B, N = state.up.shape
         self.start = support(state)
         self.sites = np.arange(1.0, N + 1.0)
         self.profile = np.zeros((B, N))
         self.work = np.empty((B, N))
         self.squares = np.empty((B, 2 * N))
-        self.sigma = np.zeros((B, T + 1))
-        self.mean = np.zeros((B, T + 1))
+        self.sigma = np.full((B, T + 1), np.nan)
+        self.mean = np.full((B, T + 1), np.nan)
+        self.record_from = record_from
         self.snapshot_times = frozenset(int(t) for t in snapshot_times)
         self.snapshots: dict[int, np.ndarray] = {}
         self.contact = np.full(B, -1)
 
     def record(self, t: int, state) -> None:
         cone = light_cone(self.start, t, self.sites.size)
+        # Before the cone reaches a chain end both end sites hold exactly 0.
+        at_end = cone.start == 0 or cone.stop == self.sites.size
+        moments = t >= self.record_from
+        if not (moments or at_end or t in self.snapshot_times):
+            return
         p = self.profile[:, cone]
-        w = self.work[:, cone]
-        sites = self.sites[cone]
         # P = re(up)^2 + im(up)^2 + re(down)^2 + im(down)^2, summed in that
         # order; squaring the interleaved float view reads contiguous memory.
         sq = self.squares[:, 2 * cone.start : 2 * cone.stop]
@@ -134,17 +141,19 @@ class _StatsRecorder:
         np.square(state.down[:, cone].view(np.float64), out=sq)
         p += sq[:, 0::2]
         p += sq[:, 1::2]
-        # Elementwise products and row sums, not np.dot: a row's result
-        # does not depend on the batch, and no BLAS threads start.
-        np.multiply(sites, p, out=w)
-        m = w.sum(axis=-1)
-        np.subtract(sites, m[:, None], out=w)
-        w *= w
-        w *= p
-        self.mean[:, t] = m
-        self.sigma[:, t] = np.sqrt(w.sum(axis=-1))
-        # Before the cone reaches a chain end both end sites hold exactly 0.
-        if cone.start == 0 or cone.stop == self.sites.size:
+        if moments:
+            # Elementwise products and row sums, not np.dot: a row's result
+            # does not depend on the batch, and no BLAS threads start.
+            w = self.work[:, cone]
+            sites = self.sites[cone]
+            np.multiply(sites, p, out=w)
+            m = w.sum(axis=-1)
+            np.subtract(sites, m[:, None], out=w)
+            w *= w
+            w *= p
+            self.mean[:, t] = m
+            self.sigma[:, t] = np.sqrt(w.sum(axis=-1))
+        if at_end:
             ends = self.profile[:, 0] + self.profile[:, -1]
             self.contact[(self.contact < 0) & (ends > BOUNDARY_CONTACT_EPS)] = t
         if t in self.snapshot_times:
@@ -161,6 +170,8 @@ def run_realization(
     seed: int | Sequence[int],
     snapshot_times=(),
     normalize_variance: bool = False,
+    *,
+    record_from: int = 0,
 ) -> TrajectoryStats:
     """Evolve one disorder realization and record its trajectory statistics.
 
@@ -172,7 +183,18 @@ def run_realization(
     leading realization axis and ``boundary_contact_time`` is a tuple with
     one entry per realization.  Row ``b`` is bit for bit what the single
     seed ``seed[b]`` gives.
+
+    Mean and dispersion are recorded from step ``record_from`` on and are
+    NaN before it; snapshots and the contact time are exact for any
+    ``record_from``.  A caller that reads only the end of the trajectory
+    saves the moment work of the steps it does not read.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``record_from`` lies outside ``[0, T]``.
     """
+    _check_record_from(record_from, T)
     single = isinstance(seed, (int, np.integer))
     seeds = [seed] if single else list(seed)
     phases = [generate_coin_phases(T, N, alpha_t, beta_s, s, normalize=normalize_variance) for s in seeds]
@@ -180,7 +202,7 @@ def run_realization(
     state = WalkerState(
         up=np.tile(start.up, (len(seeds), 1)), down=np.tile(start.down, (len(seeds), 1))
     )
-    recorder = _StatsRecorder(state, T, snapshot_times)
+    recorder = _StatsRecorder(state, T, snapshot_times, record_from)
     recorder.record(0, state)
     evolve(state, phases, T, observer=recorder)
     contact = tuple(int(c) if c >= 0 else None for c in recorder.contact)
@@ -194,9 +216,16 @@ def run_realization(
     )
 
 
+def _check_record_from(record_from: int, T: int) -> None:
+    if not isinstance(record_from, (int, np.integer)) or not 0 <= record_from <= T:
+        raise InvalidParameterError(f"record_from must be an integer in [0, {T}], got {record_from!r}")
+
+
 def _batch_task(args):
-    N, T, alpha_t, beta_s, seeds, snapshot_times, normalize_variance = args
-    stats = run_realization(N, T, alpha_t, beta_s, seeds, snapshot_times, normalize_variance)
+    N, T, alpha_t, beta_s, seeds, snapshot_times, normalize_variance, record_from = args
+    stats = run_realization(
+        N, T, alpha_t, beta_s, seeds, snapshot_times, normalize_variance, record_from=record_from
+    )
     return stats.dispersion, stats.mean_position, stats.boundary_contact_time, stats.snapshots
 
 
@@ -213,7 +242,9 @@ def _batch_size(N: int, R: int, workers: int) -> int:
     return max(1, min(BATCH_SITES // N, -(-R // (2 * workers))))
 
 
-def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> EnsembleResult:
+def run_ensemble(
+    config: EnsembleConfig, workers: int | None = None, *, record_from: int = 0
+) -> EnsembleResult:
     """Average trajectories over ``config.realizations`` independent draws.
 
     Realization ``r`` (1-based) uses coin phases seeded by
@@ -224,14 +255,18 @@ def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> Ensemble
     Per-realization results are
     accumulated strictly in realization order, so the output is
     bit-identical for a fixed master seed no matter how many workers are
-    used.
+    used.  Mean and dispersion are averaged from step ``record_from`` on
+    and are NaN before it (see ``run_realization``).
 
     Raises
     ------
     ResourceLimitError
         If ``N * T`` exceeds ``config.update_cap``.
+    InvalidParameterError
+        If ``record_from`` lies outside ``[0, T]``.
     """
     config.check_update_cap()
+    _check_record_from(record_from, config.T)
     seeds = [derive_seed(config.master_seed, r) for r in range(1, config.realizations + 1)]
     workers = max(1, workers or 1)
     B = _batch_size(config.N, config.realizations, workers)
@@ -244,6 +279,7 @@ def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> Ensemble
             tuple(seeds[i : i + B]),
             config.snapshot_times,
             config.normalize_variance,
+            record_from,
         )
         for i in range(0, len(seeds), B)
     ]
@@ -320,6 +356,16 @@ def scan_config(base: EnsembleConfig, N: int, T: int | None = None) -> EnsembleC
     )
 
 
+def _scan_sizes(sizes) -> tuple[int, ...]:
+    """The lattice sizes of a scan in increasing order: at least 3, none repeated."""
+    ordered = tuple(sorted(int(n) for n in sizes))
+    if len(ordered) < 3:
+        raise InvalidParameterError(f"need at least 3 sizes, got {len(ordered)}")
+    if len(set(ordered)) < len(ordered):
+        raise InvalidParameterError(f"lattice sizes must be distinct, got {list(ordered)}")
+    return ordered
+
+
 def size_scan(
     base: EnsembleConfig,
     sizes,
@@ -333,15 +379,18 @@ def size_scan(
     seeds, and averages the dispersion over a window proportional to the
     horizon: the smallest size uses its final ``window_len`` steps and
     size ``N`` its final ``window_len * T_N // T_min`` (``scaled_windows``).
+    Mean and dispersion are recorded only inside each size's window.
     The output is ordered by increasing ``N``.
+
+    Raises
+    ------
+    InvalidParameterError
+        If fewer than 3 sizes are given or a size repeats.
     """
-    ordered = sorted(int(n) for n in sizes)
-    if len(ordered) < 3:
-        raise InvalidParameterError(f"need at least 3 sizes, got {len(ordered)}")
-    configs = [scan_config(base, N) for N in ordered]
+    configs = [scan_config(base, N) for N in _scan_sizes(sizes)]
     points = []
     for cfg, window in zip(configs, scaled_windows(window_len, [c.T for c in configs])):
-        result = run_ensemble(cfg, workers=workers)
+        result = run_ensemble(cfg, workers=workers, record_from=cfg.T + 1 - window)
         points.append((cfg.N, longtime_avg_dispersion(result.stats, window)))
         log.info("size scan N=%d: sigma_bar=%.6g (last %d steps)", cfg.N, points[-1][1], window)
     return points
@@ -442,7 +491,7 @@ def phase_diagram_sweep(
     betas = tuple(float(b) for b in grid_beta)
     if not alphas or not betas:
         raise InvalidParameterError("alpha and beta grids must be non-empty")
-    ordered_sizes = tuple(sorted(int(n) for n in sizes))
+    ordered_sizes = _scan_sizes(sizes)
     horizons = [scan_config(base, n).T for n in ordered_sizes]
     windows = [[n, w] for n, w in zip(ordered_sizes, scaled_windows(window_len, horizons))]
 

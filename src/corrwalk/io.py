@@ -73,15 +73,6 @@ def write_profile_csv(path, profile) -> Path:
     return write_csv(path, ("n", "P"), rows)
 
 
-def write_state_csv(path, state) -> Path:
-    """Dump walker amplitudes as ``n,re_up,im_up,re_down,im_down`` rows."""
-    rows = (
-        (n + 1, state.up[n].real, state.up[n].imag, state.down[n].real, state.down[n].imag)
-        for n in range(state.lattice_size)
-    )
-    return write_csv(path, ("n", "re_up", "im_up", "re_down", "im_down"), rows)
-
-
 def write_phase_csv(path, values, value_label: str = "V") -> Path:
     """Dump a phase or trace sequence as ``j,<label>`` rows (1-based j)."""
     values = np.asarray(values)

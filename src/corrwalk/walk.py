@@ -20,40 +20,6 @@ from .noise import CoinPhases, PhaseSequence
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class CoinParameters:
-    """SU(2) coin parameters: bias ``q`` and the two relative phases."""
-
-    q: float
-    theta: float = 0.0
-    phi: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.q) or not 0.0 <= self.q <= 1.0:
-            raise InvalidParameterError(f"q must lie in [0, 1], got {self.q}")
-
-
-def coin_matrix(params: CoinParameters) -> np.ndarray:
-    """Return the 2x2 unitary coin matrix for the given parameters.
-
-    ::
-
-        [ sqrt(q)               sqrt(1-q) e^{i theta}      ]
-        [ sqrt(1-q) e^{i phi}  -sqrt(q)   e^{i(theta+phi)} ]
-
-    ``q = 1/2`` with ``theta = phi = 0`` is the fair (Hadamard) coin.
-    """
-    rq = np.sqrt(params.q)
-    rp = np.sqrt(1.0 - params.q)
-    return np.array(
-        [
-            [rq, rp * np.exp(1j * params.theta)],
-            [rp * np.exp(1j * params.phi), -rq * np.exp(1j * (params.theta + params.phi))],
-        ],
-        dtype=np.complex128,
-    )
-
-
 @dataclass
 class WalkerState:
     """Two complex amplitude arrays over N sites at one time step.

@@ -149,6 +149,17 @@ class TestRun:
         assert "sigma_window" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_size_exit_2_before_compute(self, tmp_path, capsys):
+        cfg = run_config(tmp_path)
+        config = json.loads(cfg.read_text())
+        del config["N"], config["T"]
+        config.update(sizes=[64, 64, 128], sigma_window=8)
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_size_keeps_a_window_longer_than_the_run(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--config", str(run_config(tmp_path, sigma_window=100)), "--out", str(out)]) == 0
@@ -227,6 +238,26 @@ class TestPhaseDiagram:
         out = tmp_path / "out"
         assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 2
         assert "sigma_window" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("grid_alpha", [0.0, -1.0], "non-negative"),
+            ("grid_beta", [float("inf")], "grid_beta"),
+            ("grid_alpha", [], "at least one value"),
+            ("grid_beta", ["x"], "grid_beta"),
+            ("sizes", [32, 64, 64, 128], "distinct"),
+        ],
+    )
+    def test_bad_grid_or_sizes_exit_2_before_compute(self, tmp_path, capsys, field, value, message):
+        cfg = self.write_sweep_config(tmp_path)
+        config = json.loads(cfg.read_text())
+        config[field] = value
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_resume_with_another_seed_exit_2(self, tmp_path, capsys):

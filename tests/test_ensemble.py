@@ -15,6 +15,7 @@ from corrwalk import (
     run_realization,
     size_scan,
 )
+from corrwalk import ensemble
 from corrwalk.ensemble import _batch_size, scan_config
 from corrwalk.noise import generate_coin_phases
 from corrwalk.walk import initial_state_symmetric, step
@@ -202,6 +203,70 @@ class TestBatches:
             np.testing.assert_array_equal(result.stats.snapshots[t], expected[t] / config.realizations)
 
 
+class TestRecordFrom:
+    def test_matches_full_record_from_its_step_on(self):
+        # T > N/2: the cone reaches a chain end near t = 23 and contact
+        # fires before k = 40, where the moments start.
+        N, T, k = 48, 60, 40
+        snaps = (0, 12, 30, 60)
+        for seed in (derive_seed(21, 1), [derive_seed(21, r) for r in range(1, 6)]):
+            full = run_realization(N, T, 4.0, 4.0, seed, snapshot_times=snaps)
+            late = run_realization(N, T, 4.0, 4.0, seed, snapshot_times=snaps, record_from=k)
+            np.testing.assert_array_equal(late.dispersion[..., k:], full.dispersion[..., k:])
+            np.testing.assert_array_equal(late.mean_position[..., k:], full.mean_position[..., k:])
+            assert np.isnan(late.dispersion[..., :k]).all()
+            assert np.isnan(late.mean_position[..., :k]).all()
+            for t in snaps:
+                np.testing.assert_array_equal(late.snapshots[t], full.snapshots[t])
+            assert late.boundary_contact_time == full.boundary_contact_time
+            assert all(c is not None and c < k for c in np.atleast_1d(full.boundary_contact_time))
+
+    def test_default_records_every_step(self):
+        stats = run_realization(32, 24, 2.0, 1.0, 5)
+        assert np.isfinite(stats.dispersion).all() and np.isfinite(stats.mean_position).all()
+        last = run_realization(32, 24, 2.0, 1.0, 5, record_from=24)
+        assert last.dispersion[-1] == stats.dispersion[-1]
+        assert np.isnan(last.dispersion[:-1]).all()
+
+    @pytest.mark.parametrize("record_from", [-1, 25, 2.5])
+    def test_outside_run_rejected(self, record_from):
+        with pytest.raises(InvalidParameterError, match="record_from"):
+            run_realization(32, 24, 2.0, 1.0, 5, record_from=record_from)
+        with pytest.raises(InvalidParameterError, match="record_from"):
+            run_ensemble(small_config(T=24), record_from=record_from)
+
+    def test_workers_identical_with_record_from(self):
+        config = small_config(N=40, T=36, alpha_t=4.0, beta_s=4.0, realizations=20)
+        serial = run_ensemble(config, workers=1, record_from=20)
+        pooled = run_ensemble(config, workers=2, record_from=20)
+        np.testing.assert_array_equal(serial.stats.dispersion, pooled.stats.dispersion)
+        np.testing.assert_array_equal(serial.stats.mean_position, pooled.stats.mean_position)
+        assert np.isnan(serial.stats.dispersion[:20]).all()
+        assert np.isfinite(serial.stats.dispersion[20:]).all()
+        assert serial.stats.boundary_contact_time == pooled.stats.boundary_contact_time
+        assert serial.contacted_realizations == pooled.contacted_realizations > 0
+
+    def test_sweep_matches_scans_that_record_every_step(self, monkeypatch):
+        base = small_config(realizations=3)
+        kwargs = dict(base=base, sizes=(32, 64, 128), window_len=8)
+        windowed = phase_diagram_sweep([0.0, 4.0], [0.0, 4.0], **kwargs)
+
+        full_run = ensemble.run_ensemble
+        passed = []
+
+        def every_step(config, workers=None, *, record_from=0):
+            passed.append(record_from)
+            return full_run(config, workers)
+
+        monkeypatch.setattr(ensemble, "run_ensemble", every_step)
+        full = phase_diagram_sweep([0.0, 4.0], [0.0, 4.0], **kwargs)
+        # T = 16, 32, 64 with windows 8, 16, 32.
+        assert passed == [9, 17, 33] * 4
+        np.testing.assert_array_equal(windowed.gamma, full.gamma)
+        np.testing.assert_array_equal(windowed.stderr, full.stderr)
+        assert windowed.points == full.points
+
+
 class TestEnsemblePhysics:
     def test_localized_profile_concentrates_at_start(self):
         # Strong temporal correlation with white spatial phases traps the
@@ -256,6 +321,12 @@ class TestSizeScan:
     def test_requires_three_sizes(self):
         with pytest.raises(InvalidParameterError):
             size_scan(small_config(), sizes=(64, 128), window_len=8)
+
+    def test_rejects_repeated_sizes(self):
+        with pytest.raises(InvalidParameterError, match="distinct"):
+            size_scan(small_config(), sizes=(32, 32, 64), window_len=8)
+        with pytest.raises(InvalidParameterError, match="distinct"):
+            phase_diagram_sweep([0.0], [0.0], small_config(), sizes=(32, 64, 64), window_len=8)
 
     def test_window_scales_with_horizon(self):
         base = small_config()

@@ -1,7 +1,7 @@
 import numpy as np
 
-from corrwalk import RegimeLabel, initial_state_symmetric
-from corrwalk.io import format_value, write_csv, write_phase_csv, write_state_csv
+from corrwalk import RegimeLabel
+from corrwalk.io import format_value, write_csv, write_phase_csv
 
 
 def test_format_value_round_trips_floats():
@@ -21,17 +21,6 @@ def test_write_csv_lf_and_header(tmp_path):
     path = write_csv(tmp_path / "x.csv", ("a", "b"), [(1, 0.5), (2, 0.25)])
     raw = path.read_bytes()
     assert raw == b"a,b\n1,0.5\n2,0.25\n"
-
-
-def test_write_state_csv_columns(tmp_path):
-    state = initial_state_symmetric(4)
-    path = write_state_csv(tmp_path / "state.csv", state)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,re_up,im_up,re_down,im_down"
-    assert len(lines) == 5
-    center = lines[2].split(",")  # site 2 = 4 // 2
-    assert float(center[1]) == 1 / np.sqrt(2)
-    assert float(center[4]) == 1 / np.sqrt(2)
 
 
 def test_write_phase_csv_one_based_index(tmp_path):

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from corrwalk import (
-    CoinParameters,
     CoinPhases,
     InvalidParameterError,
     PhaseSequence,
-    coin_matrix,
     evolve,
     generate_coin_phases,
     initial_state_generic,
@@ -19,37 +17,6 @@ from corrwalk.walk import WalkerState, light_cone, support
 from _oracles import as_vector, dense_step_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-class TestCoinMatrix:
-    def test_hadamard(self):
-        C = coin_matrix(CoinParameters(q=0.5, theta=0.0, phi=0.0))
-        np.testing.assert_allclose(C, INV_SQRT2 * np.array([[1, 1], [1, -1]]), atol=1e-15)
-
-    def test_q_one_is_diagonal(self):
-        C = coin_matrix(CoinParameters(q=1.0, theta=1.3, phi=2.1))
-        np.testing.assert_allclose(C[0], [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(C[1, 0], 0.0, atol=1e-15)
-        np.testing.assert_allclose(C[1, 1], -np.exp(1j * 3.4), atol=1e-12)
-
-    def test_quarter_phase(self):
-        C = coin_matrix(CoinParameters(q=0.5, theta=np.pi / 2, phi=0.0))
-        np.testing.assert_allclose(C, INV_SQRT2 * np.array([[1, 1j], [1, -1j]]), atol=1e-12)
-        np.testing.assert_allclose(C @ C.conj().T, np.eye(2), atol=1e-12)
-
-    @pytest.mark.parametrize("q", [0.0, 0.25, 0.5, 1.0])
-    def test_unitary_for_random_phases(self, q):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            theta, phi = rng.uniform(0, 2 * np.pi, 2)
-            C = coin_matrix(CoinParameters(q=q, theta=theta, phi=phi))
-            np.testing.assert_allclose(C @ C.conj().T, np.eye(2), atol=1e-12)
-
-    def test_rejects_bad_q(self):
-        with pytest.raises(InvalidParameterError):
-            CoinParameters(q=1.5)
-        with pytest.raises(InvalidParameterError):
-            CoinParameters(q=-0.1)
 
 
 class TestInitialStates:
