@@ -41,13 +41,7 @@ from .observables import (
     longtime_avg_dispersion,
     probability_profile,
 )
-from .walk import (
-    WalkerState,
-    evolve,
-    initial_state_generic,
-    initial_state_symmetric,
-    step,
-)
+from .walk import WalkerState, evolve, initial_state_symmetric
 
 __version__ = "0.1.0"
 
@@ -73,7 +67,6 @@ __all__ = [
     "fit_hurst",
     "generate_coin_phases",
     "generate_fbm_trace",
-    "initial_state_generic",
     "initial_state_symmetric",
     "longtime_avg_dispersion",
     "phase_diagram_sweep",
@@ -82,5 +75,4 @@ __all__ = [
     "run_realization",
     "size_scan",
     "squash_to_phase",
-    "step",
 ]

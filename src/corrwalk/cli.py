@@ -14,8 +14,8 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .ensemble import (
     EnsembleConfig,
     phase_diagram_sweep,
     run_ensemble,
-    scan_config,
+    size_configs,
 )
 from .errors import (
     DegenerateSeriesError,
@@ -34,14 +34,8 @@ from .errors import (
     InvalidParameterError,
     ResourceLimitError,
 )
-from .noise import CorrelationSpec, generate_fbm_trace, squash_to_phase
-from .observables import (
-    classify_regime,
-    fit_gamma,
-    fit_hurst,
-    longtime_avg_dispersion,
-    scaled_windows,
-)
+from .noise import squash_to_phase, trace_of_length
+from .observables import classify_regime, fit_gamma, fit_hurst, longtime_avg_dispersion
 from .presets import preset_names, resolve_preset
 
 log = logging.getLogger("corrwalk")
@@ -124,13 +118,16 @@ def _field(config: dict, name: str, kind, *, required: bool = False, default=Non
     raise ConfigError(f"field {name!r}: expected {kind.__name__}, got {value!r}")
 
 
+def _int_list(config: dict, name: str, *, required: bool = False) -> list[int] | None:
+    """A list field whose entries each parse as ``_field(..., int)`` does."""
+    values = _field(config, name, list, required=required)
+    return None if values is None else [_field({name: v}, name, int) for v in values]
+
+
 def _sizes_field(config: dict, *, required: bool = False) -> list[int] | None:
-    sizes = _field(config, "sizes", list, required=required)
-    if sizes is None:
-        return None
-    sizes = [_field({"sizes": n}, "sizes", int) for n in sizes]
-    if len(set(sizes)) < len(sizes):
-        raise ConfigError(f"field 'sizes': lattice sizes must be distinct, got {sizes}")
+    sizes = _int_list(config, "sizes", required=required)
+    if sizes is not None and (not sizes or min(sizes) < 2 or len(set(sizes)) < len(sizes)):
+        raise ConfigError(f"field 'sizes': expected distinct lattice sizes >= 2, got {sizes}")
     return sizes
 
 
@@ -175,29 +172,12 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int) -> Non
 
 
 def _hurst_entry(stats, fit_window) -> dict:
-    t_last = int(stats.times[-1])
-    contact = stats.boundary_contact_time
-    t_eff = t_last if contact is None else min(t_last, int(contact))
-    fallback = False
-    if fit_window is not None:
-        window = (int(fit_window[0]), int(fit_window[1]))
-    else:
-        window = (t_last // 5, t_eff)
     try:
-        H, err = fit_hurst(stats, window)
+        fit = fit_hurst(stats, fit_window)
     except (InsufficientDataError, DegenerateSeriesError, InvalidParameterError) as exc:
-        if fit_window is not None:
-            return {"error": str(exc), "window": list(window)}
-        # The default window dies when boundary contact precedes T/5
-        # (strongly ballistic runs); refit on the pre-contact span.
-        window = (max(1, t_eff // 5), t_eff)
-        fallback = True
-        try:
-            H, err = fit_hurst(stats, window)
-        except (InsufficientDataError, DegenerateSeriesError, InvalidParameterError) as exc2:
-            return {"error": str(exc2), "window": list(window)}
-    entry = {"H": H, "stderr": err, "window": list(window)}
-    if fallback:
+        return {"error": str(exc), "window": list(exc.window)}
+    entry = {"H": fit.H, "stderr": fit.stderr, "window": list(fit.window)}
+    if fit.fallback:
         entry["window_fallback"] = True
     return entry
 
@@ -214,17 +194,12 @@ def _cmd_trace(args) -> int:
     length = _field(config, "length", int, required=True)
     seed = _field(config, "seed", int, default=0)
     raw = _field(config, "raw", bool, default=False)
-    padded = length + (length % 2)
-    try:
-        spec = CorrelationSpec(nu=nu, length=max(padded, 2), seed=seed)
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc))
+    trace = trace_of_length(length, nu, seed)
 
     out_dir = _out_dir(args, "trace")
     resolved = {"nu": nu, "length": length, "seed": seed, "raw": raw}
     _write_manifest(out_dir, "trace", resolved, seed)
 
-    trace = generate_fbm_trace(spec)[:length]
     if raw:
         path = io.write_phase_csv(out_dir / "trace.csv", trace, value_label="value")
     else:
@@ -252,13 +227,19 @@ def _parse_run_config(config: dict) -> dict:
         if t_rule not in ("N/2", "5N"):
             raise ConfigError(f"field 't_rule': expected 'N/2' or '5N', got {t_rule!r}")
 
-    snapshot_times = _field(config, "snapshot_times", list, default=[])
+    snapshot_times = _int_list(config, "snapshot_times") or []
     if snapshot_times and sizes is not None:
         raise ConfigError("field 'snapshot_times': only supported for single-size runs")
 
-    fit_window = _field(config, "fit_window", list)
-    if fit_window is not None and len(fit_window) != 2:
-        raise ConfigError("field 'fit_window': expected [t_min, t_max]")
+    fit_window = _int_list(config, "fit_window")
+    if fit_window is not None and not (len(fit_window) == 2 and 0 <= fit_window[0] < fit_window[1]):
+        raise ConfigError(
+            f"field 'fit_window': expected [t_min, t_max] with 0 <= t_min < t_max, got {fit_window}"
+        )
+
+    sigma_window = _field(config, "sigma_window", int, default=100)
+    if sigma_window < 1:
+        raise ConfigError(f"field 'sigma_window': must be positive, got {sigma_window}")
 
     return {
         "N": N,
@@ -269,10 +250,10 @@ def _parse_run_config(config: dict) -> dict:
         "beta_s": _field(config, "beta_s", float, required=True),
         "realizations": _field(config, "realizations", int, default=200),
         "seed": _field(config, "seed", int, default=0),
-        "snapshot_times": [int(t) for t in snapshot_times],
+        "snapshot_times": snapshot_times,
         "normalize_variance": _field(config, "normalize_variance", bool, default=False),
         "snapshot_single": _field(config, "snapshot_single", bool, default=False),
-        "sigma_window": _field(config, "sigma_window", int, default=100),
+        "sigma_window": sigma_window,
         "fit_window": fit_window,
         "update_cap": _field(config, "update_cap", int, default=DEFAULT_UPDATE_CAP),
     }
@@ -288,54 +269,36 @@ def _cmd_run(args) -> int:
     config = _parse_run_config(_resolved_config(args, "run", {}))
     out_dir = _out_dir(args, "run")
 
-    try:
-        base = EnsembleConfig(
-            N=config["N"] or 2,
-            T=1,
-            alpha_t=config["alpha_t"],
-            beta_s=config["beta_s"],
-            realizations=config["realizations"],
-            master_seed=config["seed"],
-            normalize_variance=config["normalize_variance"],
-            snapshot_single=config["snapshot_single"],
-            update_cap=config["update_cap"],
-        )
-        if config["sizes"] is not None:
-            cfgs = [
-                scan_config(base, N, _time_horizon(N, config["T"], config["t_rule"]))
-                for N in config["sizes"]
-            ]
-        else:
-            N = config["N"]
-            cfgs = [
-                replace(
-                    base,
-                    N=N,
-                    T=_time_horizon(N, config["T"], config["t_rule"]),
-                    snapshot_times=tuple(config["snapshot_times"]),
-                )
-            ]
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc))
-    for cfg in cfgs:
-        cfg.check_update_cap()
-    # Multi-size runs average over windows proportional to each horizon so
-    # that the gamma fit is unbiased, and every run must record its whole
-    # window.  A single size keeps sigma_window; nothing is fitted from its
-    # sigma_bar, which is null when the run is shorter than the window.
-    if config["sigma_window"] < 1:
-        raise ConfigError(f"field 'sigma_window': must be positive, got {config['sigma_window']}")
-    windows = [config["sigma_window"]]
+    sizes = config["sizes"] or [config["N"]]
+    horizon = partial(_time_horizon, T=config["T"], t_rule=config["t_rule"])
+    first = EnsembleConfig(
+        N=sizes[0],
+        T=horizon(sizes[0]),
+        alpha_t=config["alpha_t"],
+        beta_s=config["beta_s"],
+        realizations=config["realizations"],
+        master_seed=config["seed"],
+        snapshot_times=tuple(config["snapshot_times"]),
+        normalize_variance=config["normalize_variance"],
+        snapshot_single=config["snapshot_single"],
+        update_cap=config["update_cap"],
+    )
+    # A single size is the one run and keeps sigma_window; nothing is fitted
+    # from its sigma_bar, which is null when the run is shorter than the
+    # window.  Multi-size runs average over windows proportional to each
+    # horizon so that the gamma fit is unbiased, and every run must record
+    # its whole window.
+    runs = [(first, config["sigma_window"])]
     if config["sizes"] is not None:
         try:
-            windows = scaled_windows(config["sigma_window"], [cfg.T for cfg in cfgs])
+            runs = size_configs(first, sizes, config["sigma_window"], horizon)
         except InvalidParameterError as exc:
             raise ConfigError(f"field 'sigma_window': {exc}")
     _write_manifest(out_dir, "run", config, config["seed"])
 
     entries = []
     points = []
-    for cfg, window in zip(cfgs, windows):
+    for cfg, window in runs:
         N, T = cfg.N, cfg.T
         log.info("run N=%d T=%d alpha_t=%g beta_s=%g R=%d", N, T, cfg.alpha_t, cfg.beta_s, cfg.realizations)
         result = run_ensemble(cfg, workers=args.workers)
@@ -404,24 +367,20 @@ def _cmd_phase_diagram(args) -> int:
     config = _parse_sweep_config(_resolved_config(args, "phase-diagram", {}))
     out_dir = _out_dir(args, "phase-diagram")
 
+    # The first cell's first run; the sweep derives every other run from it.
+    N = config["sizes"][0]
+    first = EnsembleConfig(
+        N=N,
+        T=N // 2,
+        alpha_t=config["grid_alpha"][0],
+        beta_s=config["grid_beta"][0],
+        realizations=config["realizations"],
+        master_seed=config["seed"],
+        normalize_variance=config["normalize_variance"],
+        update_cap=config["update_cap"],
+    )
     try:
-        base = EnsembleConfig(
-            N=max(config["sizes"]),
-            T=max(config["sizes"]) // 2,
-            alpha_t=0.0,
-            beta_s=0.0,
-            realizations=config["realizations"],
-            master_seed=config["seed"],
-            normalize_variance=config["normalize_variance"],
-            update_cap=config["update_cap"],
-        )
-        cfgs = [scan_config(base, N) for N in config["sizes"]]
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc))
-    for cfg in cfgs:
-        cfg.check_update_cap()
-    try:
-        scaled_windows(config["sigma_window"], [cfg.T for cfg in cfgs])
+        size_configs(first, config["sizes"], config["sigma_window"])
     except InvalidParameterError as exc:
         raise ConfigError(f"field 'sigma_window': {exc}")
     _write_manifest(out_dir, "phase-diagram", config, config["seed"])
@@ -429,7 +388,7 @@ def _cmd_phase_diagram(args) -> int:
     sweep = phase_diagram_sweep(
         config["grid_alpha"],
         config["grid_beta"],
-        base,
+        first,
         config["sizes"],
         window_len=config["sigma_window"],
         workers=args.workers,
@@ -498,10 +457,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except (ConfigError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidParameterError as exc:
+    except (InvalidParameterError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

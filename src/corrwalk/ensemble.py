@@ -48,7 +48,11 @@ BATCH_SITES = 4096
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Parameters of one disorder-averaged run."""
+    """Parameters of one disorder-averaged run.
+
+    Raises ``InvalidParameterError`` on an invalid field and
+    ``ResourceLimitError`` if ``N * T`` exceeds ``update_cap``.
+    """
 
     N: int
     T: int
@@ -78,9 +82,6 @@ class EnsembleConfig:
                 raise InvalidParameterError(f"snapshot time {t} outside [0, {self.T}]")
         if self.update_cap < 1:
             raise InvalidParameterError(f"update_cap must be positive, got {self.update_cap}")
-
-    def check_update_cap(self) -> None:
-        """Raise ``ResourceLimitError`` if ``N * T`` exceeds ``update_cap``."""
         updates = self.N * self.T
         if updates > self.update_cap:
             raise ResourceLimitError(
@@ -260,12 +261,9 @@ def run_ensemble(
 
     Raises
     ------
-    ResourceLimitError
-        If ``N * T`` exceeds ``config.update_cap``.
     InvalidParameterError
         If ``record_from`` lies outside ``[0, T]``.
     """
-    config.check_update_cap()
     _check_record_from(record_from, config.T)
     seeds = [derive_seed(config.master_seed, r) for r in range(1, config.realizations + 1)]
     workers = max(1, workers or 1)
@@ -344,25 +342,39 @@ def _reduce(results, config: EnsembleConfig) -> tuple[TrajectoryStats, int]:
     return stats, contacted
 
 
-def scan_config(base: EnsembleConfig, N: int, T: int | None = None) -> EnsembleConfig:
-    """Per-size config for a scan: ``T = N // 2`` by default and an
-    independent master seed derived from the base seed and the size."""
-    return replace(
-        base,
-        N=int(N),
-        T=int(T) if T is not None else int(N) // 2,
-        master_seed=derive_seed(base.master_seed, "size", int(N)),
-        snapshot_times=(),
-    )
+def size_configs(
+    base: EnsembleConfig, sizes, window_len: int, horizon=None
+) -> list[tuple[EnsembleConfig, int]]:
+    """Validated ``(config, window)`` for each lattice size, in the order given.
+
+    Size ``N`` runs ``horizon(N)`` steps (default ``N // 2``) from master
+    seed ``derive_seed(base.master_seed, "size", N)`` without snapshots and
+    averages its final ``window`` steps (``scaled_windows``); every other
+    field comes from ``base``.  Raises ``InvalidParameterError`` on a
+    repeated size, an invalid config or a ``window_len`` longer than the
+    shortest run, and ``ResourceLimitError`` on a size over the update cap.
+    """
+    sizes = [int(n) for n in sizes]
+    if len(set(sizes)) < len(sizes):
+        raise InvalidParameterError(f"lattice sizes must be distinct, got {sizes}")
+    configs = [
+        replace(
+            base,
+            N=n,
+            T=horizon(n) if horizon is not None else n // 2,
+            master_seed=derive_seed(base.master_seed, "size", n),
+            snapshot_times=(),
+        )
+        for n in sizes
+    ]
+    return list(zip(configs, scaled_windows(window_len, [cfg.T for cfg in configs])))
 
 
 def _scan_sizes(sizes) -> tuple[int, ...]:
-    """The lattice sizes of a scan in increasing order: at least 3, none repeated."""
+    """The lattice sizes of a scan in increasing order; a fit needs at least 3."""
     ordered = tuple(sorted(int(n) for n in sizes))
     if len(ordered) < 3:
         raise InvalidParameterError(f"need at least 3 sizes, got {len(ordered)}")
-    if len(set(ordered)) < len(ordered):
-        raise InvalidParameterError(f"lattice sizes must be distinct, got {list(ordered)}")
     return ordered
 
 
@@ -385,11 +397,10 @@ def size_scan(
     Raises
     ------
     InvalidParameterError
-        If fewer than 3 sizes are given or a size repeats.
+        If fewer than 3 sizes are given, or as ``size_configs`` does.
     """
-    configs = [scan_config(base, N) for N in _scan_sizes(sizes)]
     points = []
-    for cfg, window in zip(configs, scaled_windows(window_len, [c.T for c in configs])):
+    for cfg, window in size_configs(base, _scan_sizes(sizes), window_len):
         result = run_ensemble(cfg, workers=workers, record_from=cfg.T + 1 - window)
         points.append((cfg.N, longtime_avg_dispersion(result.stats, window)))
         log.info("size scan N=%d: sigma_bar=%.6g (last %d steps)", cfg.N, points[-1][1], window)
@@ -485,15 +496,26 @@ def phase_diagram_sweep(
     normalisation), and re-runs skip cells whose files already exist
     unless ``force`` is true.  A cell file that cannot be read, or whose
     sizes or settings differ from this sweep's, is refused rather than
-    mixed into the grid.
+    mixed into the grid.  Every cell's configuration is validated before
+    any cell is computed or written.
     """
     alphas = tuple(float(a) for a in grid_alpha)
     betas = tuple(float(b) for b in grid_beta)
     if not alphas or not betas:
         raise InvalidParameterError("alpha and beta grids must be non-empty")
     ordered_sizes = _scan_sizes(sizes)
-    horizons = [scan_config(base, n).T for n in ordered_sizes]
-    windows = [[n, w] for n, w in zip(ordered_sizes, scaled_windows(window_len, horizons))]
+    cells = {
+        (i, j): replace(
+            base, alpha_t=alpha, beta_s=beta, master_seed=derive_seed(base.master_seed, "cell", i, j)
+        )
+        for i, alpha in enumerate(alphas)
+        for j, beta in enumerate(betas)
+    }
+    # Every cell's runs are validated before the first is computed; their
+    # windows are the same in every cell.
+    for cell_base in cells.values():
+        runs = size_configs(cell_base, ordered_sizes, window_len)
+    windows = [[cfg.N, window] for cfg, window in runs]
 
     root = Path(out_dir) if out_dir is not None else None
     if root is not None:
@@ -504,43 +526,37 @@ def phase_diagram_sweep(
     regimes: list[list[RegimeLabel]] = [[RegimeLabel.DIFFUSIVE] * len(betas) for _ in alphas]
     points: dict[tuple[int, int], list[tuple[int, float]]] = {}
 
-    for i, alpha in enumerate(alphas):
-        for j, beta in enumerate(betas):
-            cell_file = _cell_path(root, i, j) if root is not None else None
-            cell_base = replace(
-                base,
-                alpha_t=alpha,
-                beta_s=beta,
-                master_seed=derive_seed(base.master_seed, "cell", i, j),
-            )
-            settings = {
-                "alpha": alpha,
-                "beta": beta,
-                "windows": windows,
-                "master_seed": cell_base.master_seed,
-                "realizations": base.realizations,
-                "normalize_variance": base.normalize_variance,
+    for (i, j), cell_base in cells.items():
+        alpha, beta = cell_base.alpha_t, cell_base.beta_s
+        cell_file = _cell_path(root, i, j) if root is not None else None
+        settings = {
+            "alpha": alpha,
+            "beta": beta,
+            "windows": windows,
+            "master_seed": cell_base.master_seed,
+            "realizations": base.realizations,
+            "normalize_variance": base.normalize_variance,
+        }
+        if cell_file is not None and cell_file.exists() and not force:
+            cell = _load_cell(cell_file, {**settings, "sizes": list(ordered_sizes)})
+            log.info("cell (alpha=%g, beta=%g): reusing %s", alpha, beta, cell_file)
+        else:
+            cell_points = size_scan(cell_base, ordered_sizes, window_len=window_len, workers=workers)
+            g, se = fit_gamma(cell_points)
+            cell = {
+                **settings,
+                "gamma": g,
+                "stderr": se,
+                "regime": classify_regime(g).value,
+                "points": [[n, s] for n, s in cell_points],
             }
-            if cell_file is not None and cell_file.exists() and not force:
-                cell = _load_cell(cell_file, {**settings, "sizes": list(ordered_sizes)})
-                log.info("cell (alpha=%g, beta=%g): reusing %s", alpha, beta, cell_file)
-            else:
-                cell_points = size_scan(cell_base, ordered_sizes, window_len=window_len, workers=workers)
-                g, se = fit_gamma(cell_points)
-                cell = {
-                    **settings,
-                    "gamma": g,
-                    "stderr": se,
-                    "regime": classify_regime(g).value,
-                    "points": [[n, s] for n, s in cell_points],
-                }
-                if cell_file is not None:
-                    _write_cell(cell_file, cell)
-                log.info("cell (alpha=%g, beta=%g): gamma=%.4f (%s)", alpha, beta, g, cell["regime"])
-            gamma[i, j] = cell["gamma"]
-            stderr[i, j] = cell["stderr"]
-            regimes[i][j] = RegimeLabel(cell["regime"])
-            points[(i, j)] = [(int(n), float(s)) for n, s in cell["points"]]
+            if cell_file is not None:
+                _write_cell(cell_file, cell)
+            log.info("cell (alpha=%g, beta=%g): gamma=%.4f (%s)", alpha, beta, g, cell["regime"])
+        gamma[i, j] = cell["gamma"]
+        stderr[i, j] = cell["stderr"]
+        regimes[i][j] = RegimeLabel(cell["regime"])
+        points[(i, j)] = [(int(n), float(s)) for n, s in cell["points"]]
 
     return SweepResult(
         alphas=alphas,

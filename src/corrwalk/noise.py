@@ -22,10 +22,6 @@ TWO_PI = 2.0 * np.pi
 # its output just below 2*pi to preserve the half-open range.
 _PHASE_SUP = np.nextafter(TWO_PI, 0.0)
 
-# Block width for the literal O(M^2) mode summation; bounds the cosine
-# table at block * M/2 doubles.
-_DIRECT_BLOCK = 1024
-
 
 def derive_seed(master_seed: int, *labels: int | str) -> int:
     """Derive an independent 64-bit sub-stream seed from a master seed.
@@ -128,7 +124,7 @@ class CoinPhases:
     phi: PhaseSequence
 
 
-def generate_fbm_trace(spec: CorrelationSpec, *, method: str = "fft", normalize: bool = False) -> np.ndarray:
+def generate_fbm_trace(spec: CorrelationSpec, *, normalize: bool = False) -> np.ndarray:
     """Synthesise the correlated trace described by ``spec``.
 
     The trace value at position ``j`` (1-based, ``j = 1 .. M``) is
@@ -136,16 +132,14 @@ def generate_fbm_trace(spec: CorrelationSpec, *, method: str = "fft", normalize:
         sum_{k=1}^{M/2} sqrt((2*pi/M)**(1 - nu) / k**nu) * cos(2*pi*j*k/M + mu_k)
 
     with the ``mu_k`` drawn independently and uniformly from ``[0, 2*pi)``
-    out of the seeded stream.  Deterministic for a fixed seed.
+    out of the seeded stream.  Deterministic for a fixed seed.  The sum is
+    evaluated as an inverse DFT of the amplitude-weighted random phasors,
+    in O(M log M).
 
     Parameters
     ----------
     spec : CorrelationSpec
         Exponent, length, and seed of the sequence.
-    method : {"fft", "direct"}
-        "fft" evaluates the mode sum as an inverse DFT of the amplitude-
-        weighted random phasors (O(M log M)).  "direct" is the literal
-        O(M^2) summation kept as the reference; both agree to ~1e-13.
     normalize : bool
         If true, rescale the trace to zero mean and unit sample variance
         before returning it.  Off by default: the raw mode sum has a nu-
@@ -163,25 +157,16 @@ def generate_fbm_trace(spec: CorrelationSpec, *, method: str = "fft", normalize:
     k = np.arange(1, M // 2 + 1)
     amps = np.sqrt((TWO_PI / M) ** (1.0 - spec.nu) * k ** (-float(spec.nu)))
 
-    if method == "fft":
-        modes = np.zeros(M, dtype=np.complex128)
-        modes[1 : M // 2 + 1] = amps * np.exp(1j * mode_phases)
-        # ifft(modes)[m] * M = sum_k amps_k * exp(i(2*pi*m*k/M + mu_k)); its
-        # real part is the mode sum at position m, and position j = M wraps
-        # to m = 0.
-        wave = np.fft.ifft(modes).real
-        wave *= M
-        trace = np.empty(M)
-        trace[: M - 1] = wave[1:]
-        trace[M - 1] = wave[0]
-    elif method == "direct":
-        trace = np.empty(M)
-        positions = np.arange(1, M + 1)
-        for lo in range(0, M, _DIRECT_BLOCK):
-            j = positions[lo : lo + _DIRECT_BLOCK, None]
-            trace[lo : lo + _DIRECT_BLOCK] = np.cos(TWO_PI * j * k / M + mode_phases) @ amps
-    else:
-        raise InvalidParameterError(f"method must be 'fft' or 'direct', got {method!r}")
+    modes = np.zeros(M, dtype=np.complex128)
+    modes[1 : M // 2 + 1] = amps * np.exp(1j * mode_phases)
+    # ifft(modes)[m] * M = sum_k amps_k * exp(i(2*pi*m*k/M + mu_k)); its
+    # real part is the mode sum at position m, and position j = M wraps
+    # to m = 0.
+    wave = np.fft.ifft(modes).real
+    wave *= M
+    trace = np.empty(M)
+    trace[: M - 1] = wave[1:]
+    trace[M - 1] = wave[0]
 
     if normalize:
         trace = (trace - trace.mean()) / trace.std()
@@ -225,9 +210,8 @@ def generate_coin_phases(
     ``alpha_t``; ``phi`` from a trace of length ``N`` with exponent
     ``beta_s``.  The two mode-phase draws are statistically independent:
     their generators are seeded from ``seed`` through the sub-stream
-    labels ``"theta"`` and ``"phi"``.  Odd lengths are padded to the next
-    even value internally and the trace truncated, which preserves the
-    correlation structure.
+    labels ``"theta"`` and ``"phi"``.  Odd lengths are padded as
+    ``trace_of_length`` describes.
 
     Parameters
     ----------
@@ -245,13 +229,17 @@ def generate_coin_phases(
         raise InvalidParameterError(f"T must be a positive integer, got {T}")
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise InvalidParameterError(f"N must be a positive integer, got {N}")
-    theta = _squashed_sequence(int(T), alpha_t, derive_seed(seed, "theta"), normalize)
-    phi = _squashed_sequence(int(N), beta_s, derive_seed(seed, "phi"), normalize)
-    return CoinPhases(theta=theta, phi=phi)
+    theta = trace_of_length(int(T), alpha_t, derive_seed(seed, "theta"), normalize=normalize)
+    phi = trace_of_length(int(N), beta_s, derive_seed(seed, "phi"), normalize=normalize)
+    return CoinPhases(theta=squash_to_phase(theta), phi=squash_to_phase(phi))
 
 
-def _squashed_sequence(n: int, nu: float, seed: int, normalize: bool) -> PhaseSequence:
-    padded = n + (n % 2)
-    spec = CorrelationSpec(nu=nu, length=max(padded, 2), seed=seed)
-    trace = generate_fbm_trace(spec, normalize=normalize)
-    return squash_to_phase(trace[:n])
+def trace_of_length(n: int, nu: float, seed: int, *, normalize: bool = False) -> np.ndarray:
+    """The first ``n`` values of the correlated trace for ``(nu, seed)``.
+
+    ``CorrelationSpec`` needs an even length, so an odd ``n`` is padded to
+    the next even value and the trace truncated, which preserves the
+    correlation structure.
+    """
+    spec = CorrelationSpec(nu=nu, length=max(n + n % 2, 2), seed=seed)
+    return generate_fbm_trace(spec, normalize=normalize)[:n]

@@ -104,7 +104,20 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, stderr
 
 
-def fit_hurst(stats: TrajectoryStats, window: tuple[int, int] | None = None) -> tuple[float, float]:
+@dataclass(frozen=True)
+class HurstFit:
+    """A Hurst fit and the window it used; unpacks as ``(H, stderr)``."""
+
+    H: float
+    stderr: float
+    window: tuple[int, int]
+    fallback: bool = False
+
+    def __iter__(self):
+        return iter((self.H, self.stderr))
+
+
+def fit_hurst(stats: TrajectoryStats, window: tuple[int, int] | None = None) -> HurstFit:
     """Fit ``sigma(t) ~ t**H`` by least squares on the log-log series.
 
     Parameters
@@ -115,12 +128,16 @@ def fit_hurst(stats: TrajectoryStats, window: tuple[int, int] | None = None) -> 
     window : (t_min, t_max), optional
         Inclusive time bounds.  Defaults to ``[T // 5, T_eff]`` where
         ``T`` is the last recorded time and ``T_eff`` caps it at the
-        boundary-contact time.  An explicit window must not extend past
-        boundary contact.
+        boundary-contact time.  If contact comes so early that the default
+        cannot be fitted (strongly ballistic runs), the pre-contact span
+        ``[max(1, T_eff // 5), T_eff]`` is fitted instead, as a fallback.
+        An explicit window must not extend past boundary contact.
 
     Returns
     -------
-    (H, stderr)
+    HurstFit
+        ``H``, its ``stderr``, the ``window`` fitted and whether it is the
+        ``fallback``; unpacks as ``(H, stderr)``.
 
     Raises
     ------
@@ -130,26 +147,33 @@ def fit_hurst(stats: TrajectoryStats, window: tuple[int, int] | None = None) -> 
         The window contains non-positive dispersion values.
     InvalidParameterError
         The window extends past the boundary-contact time.
+
+    The error carries the last window tried as ``window``.
     """
     t_last = int(stats.times[-1])
     contact = stats.boundary_contact_time
     t_eff = t_last if contact is None else min(t_last, int(contact))
-    if window is None:
-        window = (t_last // 5, t_eff)
-    t_min, t_max = int(window[0]), int(window[1])
-    if contact is not None and t_max > contact:
-        raise InvalidParameterError(
-            f"fit window [{t_min}, {t_max}] extends past boundary contact at t={contact}"
-        )
-    mask = (stats.times >= max(t_min, 1)) & (stats.times <= t_max)
-    if int(mask.sum()) < 5:
-        raise InsufficientDataError(
-            f"fit window [{t_min}, {t_max}] contains {int(mask.sum())} points, need at least 5"
-        )
-    sig = stats.dispersion[mask]
-    if np.any(sig <= 0):
-        raise DegenerateSeriesError("dispersion must be positive inside the fit window")
-    return _loglog_fit(stats.times[mask], sig)
+    if window is not None:
+        windows = [(int(window[0]), int(window[1]))]
+    else:
+        windows = [(t_last // 5, t_eff), (max(1, t_eff // 5), t_eff)]
+    for fallback, (t_min, t_max) in enumerate(windows):
+        mask = (stats.times >= max(t_min, 1)) & (stats.times <= t_max)
+        sig = stats.dispersion[mask]
+        if contact is not None and t_max > contact:
+            error = InvalidParameterError(
+                f"fit window [{t_min}, {t_max}] extends past boundary contact at t={contact}"
+            )
+        elif sig.size < 5:
+            error = InsufficientDataError(
+                f"fit window [{t_min}, {t_max}] contains {sig.size} points, need at least 5"
+            )
+        elif np.any(sig <= 0):
+            error = DegenerateSeriesError("dispersion must be positive inside the fit window")
+        else:
+            return HurstFit(*_loglog_fit(stats.times[mask], sig), (t_min, t_max), bool(fallback))
+    error.window = (t_min, t_max)
+    raise error
 
 
 def longtime_avg_dispersion(stats: TrajectoryStats, window_len: int = 100) -> float:

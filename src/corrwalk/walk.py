@@ -10,12 +10,12 @@ shifts: spin-up amplitude gathers from site ``n + 1``, spin-down from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .noise import CoinPhases, PhaseSequence
+from .noise import CoinPhases
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -73,49 +73,6 @@ def initial_state_symmetric(N: int) -> WalkerState:
     return WalkerState(up=up, down=down, time=0)
 
 
-def initial_state_generic(
-    N: int, amplitudes: Iterable[tuple[int, complex, complex]]
-) -> tuple[WalkerState, float]:
-    """Build a normalized state from ``(site, up, down)`` amplitude entries.
-
-    Sites are 1-based; entries for the same site accumulate.  The state is
-    rescaled to unit norm and the applied factor returned alongside it.
-
-    Raises
-    ------
-    InvalidParameterError
-        On an empty amplitude list, a site outside ``[1, N]``, or zero
-        total norm.
-    """
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise InvalidParameterError(f"N must be an integer >= 2, got {N}")
-    up = np.zeros(N, dtype=np.complex128)
-    down = np.zeros(N, dtype=np.complex128)
-    empty = True
-    for site, amp_up, amp_down in amplitudes:
-        empty = False
-        if not 1 <= site <= N:
-            raise InvalidParameterError(f"site {site} outside [1, {N}]")
-        up[site - 1] += amp_up
-        down[site - 1] += amp_down
-    if empty:
-        raise InvalidParameterError("amplitude list is empty")
-    norm = np.sqrt(np.vdot(up, up).real + np.vdot(down, down).real)
-    if norm == 0.0:
-        raise InvalidParameterError("total norm is zero")
-    factor = 1.0 / norm
-    up *= factor
-    down *= factor
-    return WalkerState(up=up, down=down, time=0), factor
-
-
-def _phi_values(phi, N: int) -> np.ndarray:
-    values = phi.values if isinstance(phi, PhaseSequence) else np.asarray(phi, dtype=np.float64)
-    if values.ndim != 1 or values.size != N:
-        raise InvalidParameterError(f"phi has length {values.size}, lattice has {N} sites")
-    return values
-
-
 def support(state: WalkerState) -> tuple[int, int]:
     """First and last 0-based site holding a nonzero amplitude in any row.
 
@@ -160,25 +117,6 @@ def _step_kernel(u, d, exp_theta, exp_phi_scaled, out_up, out_down, scratch) -> 
     out_down *= exp_phi_scaled
 
 
-def step(state: WalkerState, theta_t: float, phi) -> WalkerState:
-    """Advance one walker by one time step.
-
-    ``theta_t`` is the temporal coin phase for this step; ``phi`` the
-    per-site phase sequence (applied at the destination site of the
-    spin-down shift).  Site indices wrap periodically.  The map is unitary
-    for every phase choice, so the norm is preserved.
-    """
-    values = _phi_values(phi, state.up.shape[-1])
-    exp_theta = complex(np.exp(1j * float(theta_t)))
-    exp_phi_scaled = np.exp(1j * values)
-    exp_phi_scaled *= INV_SQRT2
-    out_up = np.empty_like(state.up)
-    out_down = np.empty_like(state.down)
-    scratch = np.empty_like(state.up)
-    _step_kernel(state.up, state.down, exp_theta, exp_phi_scaled, out_up, out_down, scratch)
-    return WalkerState(up=out_up, down=out_down, time=state.time + 1)
-
-
 def evolve(
     state: WalkerState,
     phases: CoinPhases | Sequence[CoinPhases],
@@ -215,7 +153,9 @@ def evolve(
     for row in rows:
         if len(row.theta) < T:
             raise InvalidParameterError(f"need {T} temporal phases, sequence has {len(row.theta)}")
-    exp_phi_scaled = np.exp(1j * np.stack([_phi_values(row.phi, N) for row in rows]).reshape(shape))
+        if len(row.phi) != N:
+            raise InvalidParameterError(f"phi has length {len(row.phi)}, lattice has {N} sites")
+    exp_phi_scaled = np.exp(1j * np.stack([row.phi.values for row in rows]).reshape(shape))
     exp_phi_scaled *= INV_SQRT2
     if T == 0:
         return state.copy()

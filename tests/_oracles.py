@@ -2,7 +2,73 @@
 
 import numpy as np
 
+from corrwalk import InvalidParameterError
+from corrwalk.walk import WalkerState
+
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+TWO_PI = 2.0 * np.pi
+
+# Block width of the literal mode sum; bounds the cosine table at
+# block * M/2 doubles.
+_DIRECT_BLOCK = 1024
+
+
+def initial_state_generic(N, amplitudes):
+    """Build a normalized state from ``(site, up, down)`` amplitude entries.
+
+    Sites are 1-based; entries for the same site accumulate.  The state is
+    rescaled to unit norm and the applied factor returned alongside it.
+    Raises ``InvalidParameterError`` on an empty amplitude list, a site
+    outside ``[1, N]``, or zero total norm.
+    """
+    if not isinstance(N, (int, np.integer)) or N < 2:
+        raise InvalidParameterError(f"N must be an integer >= 2, got {N}")
+    up = np.zeros(N, dtype=np.complex128)
+    down = np.zeros(N, dtype=np.complex128)
+    empty = True
+    for site, amp_up, amp_down in amplitudes:
+        empty = False
+        if not 1 <= site <= N:
+            raise InvalidParameterError(f"site {site} outside [1, {N}]")
+        up[site - 1] += amp_up
+        down[site - 1] += amp_down
+    if empty:
+        raise InvalidParameterError("amplitude list is empty")
+    norm = np.sqrt(np.vdot(up, up).real + np.vdot(down, down).real)
+    if norm == 0.0:
+        raise InvalidParameterError("total norm is zero")
+    factor = 1.0 / norm
+    up *= factor
+    down *= factor
+    return WalkerState(up=up, down=down, time=0), factor
+
+
+def whole_lattice_step(state, theta_t, phi):
+    """One step of one walker on the whole periodic lattice.
+
+    It keeps the kernel's arithmetic order: ``x = d e^{i theta}``, then
+    ``(u + x) / sqrt 2`` gathered from site ``n + 1`` and
+    ``(u - x) (e^{i phi_n} / sqrt 2)`` from site ``n - 1``.  So its
+    amplitudes equal those of ``evolve`` bit for bit.
+    """
+    x = state.down * np.exp(1j * float(theta_t))
+    up = np.roll(state.up + x, -1) * INV_SQRT2
+    down = np.roll(state.up - x, 1) * (np.exp(1j * phi) * INV_SQRT2)
+    return WalkerState(up=up, down=down, time=state.time + 1)
+
+
+def direct_fbm_trace(spec):
+    """The trace of ``generate_fbm_trace(spec)`` as the literal O(M^2) mode sum."""
+    M = int(spec.length)
+    mode_phases = np.random.default_rng(spec.seed).uniform(0.0, TWO_PI, M // 2)
+    k = np.arange(1, M // 2 + 1)
+    amps = np.sqrt((TWO_PI / M) ** (1.0 - spec.nu) * k ** (-float(spec.nu)))
+    trace = np.empty(M)
+    positions = np.arange(1, M + 1)
+    for lo in range(0, M, _DIRECT_BLOCK):
+        j = positions[lo : lo + _DIRECT_BLOCK, None]
+        trace[lo : lo + _DIRECT_BLOCK] = np.cos(TWO_PI * j * k / M + mode_phases) @ amps
+    return trace
 
 
 def dense_step_unitary(theta, phi):

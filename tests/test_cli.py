@@ -160,6 +160,24 @@ class TestRun:
         assert "distinct" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("snapshot_times", ["abc"]),
+            ("snapshot_times", [7.9]),
+            ("fit_window", ["a", 10]),
+            ("fit_window", [10.5, 20]),
+            ("fit_window", [10]),
+            ("fit_window", [20, 20]),
+            ("fit_window", [-1, 20]),
+        ],
+    )
+    def test_malformed_time_list_exit_2_before_compute(self, tmp_path, capsys, field, value):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(run_config(tmp_path, **{field: value})), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_size_keeps_a_window_longer_than_the_run(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--config", str(run_config(tmp_path, sigma_window=100)), "--out", str(out)]) == 0

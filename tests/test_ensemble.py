@@ -16,9 +16,11 @@ from corrwalk import (
     size_scan,
 )
 from corrwalk import ensemble
-from corrwalk.ensemble import _batch_size, scan_config
+from corrwalk.ensemble import _batch_size, size_configs
 from corrwalk.noise import generate_coin_phases
-from corrwalk.walk import initial_state_symmetric, step
+from corrwalk.walk import initial_state_symmetric
+
+from _oracles import whole_lattice_step
 
 
 def small_config(**overrides):
@@ -112,9 +114,8 @@ class TestRunEnsemble:
         assert len(np.unique(seeds)) == seeds.size
 
     def test_resource_cap_refusal(self):
-        config = small_config(update_cap=100)
         with pytest.raises(ResourceLimitError, match="update_cap"):
-            run_ensemble(config)
+            run_ensemble(small_config(update_cap=100))
 
     def test_standard_error_scales_as_inverse_sqrt(self):
         # sigma(T) spread across realizations: SE should fall like 1/sqrt(R)
@@ -191,7 +192,7 @@ class TestBatches:
             phases = generate_coin_phases(config.T, config.N, config.alpha_t, config.beta_s, seed)
             state = initial_state_symmetric(config.N)
             for t in range(1, config.T + 1):
-                state = step(state, phases.theta.values[t - 1], phases.phi)
+                state = whole_lattice_step(state, phases.theta.values[t - 1], phases.phi.values)
                 if t in expected:
                     p = state.up.real * state.up.real
                     p += state.up.imag * state.up.imag
@@ -331,8 +332,11 @@ class TestSizeScan:
     def test_window_scales_with_horizon(self):
         base = small_config()
         points = size_scan(base, sizes=(32, 64, 128), window_len=8)
-        for (N, sigma_bar), window in zip(points, (8, 16, 32)):
-            stats = run_ensemble(scan_config(base, N)).stats
+        runs = size_configs(base, (32, 64, 128), 8)
+        assert [window for _, window in runs] == [8, 16, 32]
+        for (N, sigma_bar), (cfg, window) in zip(points, runs):
+            stats = run_ensemble(cfg).stats
+            assert (cfg.N, cfg.T) == (N, N // 2)
             assert sigma_bar == longtime_avg_dispersion(stats, window)
 
 
@@ -349,6 +353,11 @@ class TestPhaseDiagramSweep:
         assert sweep.gamma.shape == (1, 1)
         assert isinstance(sweep.regimes[0][0], RegimeLabel)
         assert (tmp_path / "cells" / "cell_000_000.json").exists()
+
+    def test_bad_cell_rejected_before_any_cell_is_written(self, tmp_path):
+        with pytest.raises(InvalidParameterError, match="alpha_t"):
+            phase_diagram_sweep([0.0, -1.0], [0.0], small_config(), [16, 32, 64], window_len=4, out_dir=tmp_path)
+        assert not list(tmp_path.rglob("*.json"))
 
     def test_resume_skips_completed_cells(self, tmp_path):
         kwargs = dict(

@@ -13,7 +13,7 @@ from corrwalk import (
     squash_to_phase,
 )
 
-from _oracles import periodogram_slope
+from _oracles import direct_fbm_trace, periodogram_slope
 
 TWO_PI = 2.0 * np.pi
 
@@ -80,20 +80,13 @@ class TestFbmTrace:
     @pytest.mark.parametrize("length", [2, 64, 1024])
     def test_fft_matches_direct_reference(self, nu, length):
         spec = CorrelationSpec(nu=nu, length=length, seed=31337)
-        fft = generate_fbm_trace(spec, method="fft")
-        direct = generate_fbm_trace(spec, method="direct")
-        np.testing.assert_allclose(fft, direct, atol=1e-10)
+        np.testing.assert_allclose(generate_fbm_trace(spec), direct_fbm_trace(spec), atol=1e-10)
 
     def test_normalize_flag_rescales(self):
         spec = CorrelationSpec(nu=2.0, length=1024, seed=5)
         trace = generate_fbm_trace(spec, normalize=True)
         assert abs(trace.mean()) < 1e-12
         assert abs(trace.std() - 1.0) < 1e-12
-
-    def test_unknown_method_rejected(self):
-        spec = CorrelationSpec(nu=0.0, length=4, seed=0)
-        with pytest.raises(InvalidParameterError):
-            generate_fbm_trace(spec, method="magic")
 
 
 class TestSquashToPhase:

@@ -2,22 +2,25 @@ import numpy as np
 import pytest
 
 from corrwalk import (
+    CoinPhases,
     DegenerateSeriesError,
     InsufficientDataError,
     InvalidParameterError,
+    PhaseSequence,
     RegimeLabel,
     TrajectoryStats,
     classify_regime,
     dispersion,
+    evolve,
     fit_gamma,
     fit_hurst,
-    initial_state_generic,
     initial_state_symmetric,
     longtime_avg_dispersion,
     probability_profile,
-    step,
 )
 from corrwalk.observables import scaled_windows
+
+from _oracles import initial_state_generic
 
 
 def make_stats(times, sigma, contact=None):
@@ -39,7 +42,8 @@ class TestProbabilityProfile:
     def test_one_hadamard_step_from_spin_up(self):
         N = 11
         state, _ = initial_state_generic(N, [(6, 1.0, 0.0)])
-        profile = probability_profile(step(state, 0.0, np.zeros(N)))
+        hadamard = CoinPhases(theta=PhaseSequence(np.zeros(1)), phi=PhaseSequence(np.zeros(N)))
+        profile = probability_profile(evolve(state, hadamard, 1))
         assert profile[4] == pytest.approx(0.5, abs=1e-15)  # site 5
         assert profile[6] == pytest.approx(0.5, abs=1e-15)  # site 7
         assert profile.sum() == pytest.approx(1.0, abs=1e-10)

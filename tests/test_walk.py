@@ -7,14 +7,12 @@ from corrwalk import (
     PhaseSequence,
     evolve,
     generate_coin_phases,
-    initial_state_generic,
     initial_state_symmetric,
     probability_profile,
-    step,
 )
 from corrwalk.walk import WalkerState, light_cone, support
 
-from _oracles import as_vector, dense_step_unitary
+from _oracles import as_vector, dense_step_unitary, initial_state_generic, whole_lattice_step
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -86,7 +84,7 @@ class TestStep:
     def test_delta_spin_up_single_step(self):
         N = 9
         state, _ = initial_state_generic(N, [(5, 1.0, 0.0)])
-        out = step(state, 0.0, np.zeros(N))
+        out = evolve(state, zero_phases(1, N), 1)
         expected_up = np.zeros(N, complex)
         expected_up[3] = INV_SQRT2  # site 4 = n0 - 1
         expected_down = np.zeros(N, complex)
@@ -102,16 +100,15 @@ class TestStep:
             N, [(int(s), complex(*rng.normal(size=2)), complex(*rng.normal(size=2))) for s in range(1, N + 1)]
         )
         for _ in range(10):
-            state = step(state, rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi, N))
+            state = evolve(state, random_phases(rng, 1, N), 1)
             assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_homogeneous_profile_symmetric(self):
         N = 128
         state = initial_state_symmetric(N)
         n0 = N // 2
-        phi = np.zeros(N)
         for t in range(1, N // 2 + 1):
-            state = step(state, 0.0, phi)
+            state = evolve(state, zero_phases(1, N), 1)
             profile = probability_profile(state)
             mirrored = profile[::-1]
             # site n maps to 2*n0 - n, i.e. index i -> 2*(n0-1) - i
@@ -123,9 +120,9 @@ class TestStep:
         state = initial_state_symmetric(N)
         n0 = N // 2
         phases = generate_coin_phases(20, N, 1.0, 1.0, seed=3)
-        phi = phases.phi
         for t in range(1, 21):
-            state = step(state, phases.theta.values[t - 1], phi)
+            theta_t = PhaseSequence(phases.theta.values[t - 1 : t])
+            state = evolve(state, CoinPhases(theta=theta_t, phi=phases.phi), 1)
             profile = probability_profile(state)
             sites = np.arange(1, N + 1)
             outside = np.abs(sites - n0) > t
@@ -134,7 +131,7 @@ class TestStep:
     def test_phi_length_mismatch_rejected(self):
         state = initial_state_symmetric(8)
         with pytest.raises(InvalidParameterError):
-            step(state, 0.0, np.zeros(7))
+            evolve(state, zero_phases(1, 7), 1)
 
 
 class TestEvolve:
@@ -151,7 +148,7 @@ class TestEvolve:
         phases = generate_coin_phases(T, N, 0.7, 1.3, seed=5)
         expected = initial_state_symmetric(N)
         for t in range(1, T + 1):
-            expected = step(expected, phases.theta.values[t - 1], phases.phi)
+            expected = whole_lattice_step(expected, phases.theta.values[t - 1], phases.phi.values)
         out = evolve(initial_state_symmetric(N), phases, T)
         np.testing.assert_allclose(out.up, expected.up, atol=1e-13)
         np.testing.assert_allclose(out.down, expected.down, atol=1e-13)
@@ -265,7 +262,7 @@ class TestLightCone:
         evolve(state, phases, T, observer=lambda t, s: seen.setdefault(t, (s.up.copy(), s.down.copy())))
         for t in range(1, T + 1):
             vec = dense_step_unitary(phases.theta.values[t - 1], phases.phi.values) @ vec
-            full = step(full, phases.theta.values[t - 1], phases.phi)
+            full = whole_lattice_step(full, phases.theta.values[t - 1], phases.phi.values)
             up, down = seen[t]
             np.testing.assert_allclose(np.concatenate([up, down]), vec, atol=1e-12)
             # Stepping only the light cone changes no amplitude's bits.
