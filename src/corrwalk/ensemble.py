@@ -24,9 +24,11 @@ from .noise import _check_seed, derive_seed, generate_coin_phases
 from .observables import (
     RegimeLabel,
     TrajectoryStats,
+    centred_moments,
     classify_regime,
     fit_gamma,
     longtime_avg_dispersion,
+    probability_profile,
     scaled_windows,
 )
 from .walk import WalkerState, evolve, initial_state_symmetric, light_cone, support
@@ -107,18 +109,19 @@ class _StatsRecorder:
     Works row by row on a ``(B, N)`` batch and, at step ``t``, reads only
     the light cone ``t`` steps from the state it was built from: outside it
     every probability is zero.  Mean and dispersion are recorded from step
-    ``record_from`` on and stay NaN before it.  An earlier step is skipped
-    unless it is a snapshot time or the cone has reached a chain end,
-    which contact needs and which no earlier step can show.
+    ``record_from`` on and stay NaN before it, in one pass centred on the
+    start support (``centred_moments``).  The profile is formed only at
+    snapshot times and at the chain ends once the cone reaches them.
     """
 
     def __init__(self, state, T: int, snapshot_times, record_from: int = 0) -> None:
         B, N = state.up.shape
         self.start = support(state)
-        self.sites = np.arange(1.0, N + 1.0)
-        self.profile = np.zeros((B, N))
-        self.work = np.empty((B, N))
-        self.squares = np.empty((B, 2 * N))
+        self.centre = (self.start[0] + self.start[1]) / 2 + 1
+        # Offsets from the centre and their squares, per float of a (re, im) row.
+        offsets = np.repeat(np.arange(1.0, N + 1.0) - self.centre, 2)
+        self.offsets = np.stack([offsets, offsets * offsets])
+        self.squares = np.empty((B, 2, 2 * N))
         self.sigma = np.full((B, T + 1), np.nan)
         self.mean = np.full((B, T + 1), np.nan)
         self.record_from = record_from
@@ -127,38 +130,21 @@ class _StatsRecorder:
         self.contact = np.full(B, -1)
 
     def record(self, t: int, state) -> None:
-        cone = light_cone(self.start, t, self.sites.size)
+        N = state.up.shape[-1]
+        cone = light_cone(self.start, t, N)
         # Before the cone reaches a chain end both end sites hold exactly 0.
-        at_end = cone.start == 0 or cone.stop == self.sites.size
-        moments = t >= self.record_from
-        if not (moments or at_end or t in self.snapshot_times):
-            return
-        p = self.profile[:, cone]
-        # P = re(up)^2 + im(up)^2 + re(down)^2 + im(down)^2, summed in that
-        # order; squaring the interleaved float view reads contiguous memory.
-        sq = self.squares[:, 2 * cone.start : 2 * cone.stop]
-        np.square(state.up[:, cone].view(np.float64), out=sq)
-        np.add(sq[:, 0::2], sq[:, 1::2], out=p)
-        np.square(state.down[:, cone].view(np.float64), out=sq)
-        p += sq[:, 0::2]
-        p += sq[:, 1::2]
-        if moments:
-            # Elementwise products and row sums, not np.dot: a row's result
-            # does not depend on the batch, and no BLAS threads start.
-            w = self.work[:, cone]
-            sites = self.sites[cone]
-            np.multiply(sites, p, out=w)
-            m = w.sum(axis=-1)
-            np.subtract(sites, m[:, None], out=w)
-            w *= w
-            w *= p
-            self.mean[:, t] = m
-            self.sigma[:, t] = np.sqrt(w.sum(axis=-1))
-        if at_end:
-            ends = self.profile[:, 0] + self.profile[:, -1]
-            self.contact[(self.contact < 0) & (ends > BOUNDARY_CONTACT_EPS)] = t
+        if cone.start == 0 or cone.stop == N:
+            ends = probability_profile(WalkerState(state.up[:, :: N - 1], state.down[:, :: N - 1]))
+            self.contact[(self.contact < 0) & (ends.sum(axis=-1) > BOUNDARY_CONTACT_EPS)] = t
         if t in self.snapshot_times:
-            self.snapshots[t] = self.profile.copy()
+            self.snapshots[t] = probability_profile(state)
+        if t >= self.record_from:
+            # Row b: the squared (re, im) floats of up[b], then of down[b].
+            cols = slice(2 * cone.start, 2 * cone.stop)
+            sq = self.squares[..., cols]
+            np.square(state.up[:, cone].view(np.float64), out=sq[:, 0])
+            np.square(state.down[:, cone].view(np.float64), out=sq[:, 1])
+            self.mean[:, t], self.sigma[:, t] = centred_moments(sq, *self.offsets[:, cols], self.centre)
 
     __call__ = record
 

@@ -225,12 +225,8 @@ def generate_coin_phases(
         Rescale both traces to zero mean and unit variance before the
         squash (see ``generate_fbm_trace``).
     """
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise InvalidParameterError(f"T must be a positive integer, got {T}")
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise InvalidParameterError(f"N must be a positive integer, got {N}")
-    theta = trace_of_length(int(T), alpha_t, derive_seed(seed, "theta"), normalize=normalize)
-    phi = trace_of_length(int(N), beta_s, derive_seed(seed, "phi"), normalize=normalize)
+    theta = trace_of_length(T, alpha_t, derive_seed(seed, "theta"), normalize=normalize)
+    phi = trace_of_length(N, beta_s, derive_seed(seed, "phi"), normalize=normalize)
     return CoinPhases(theta=squash_to_phase(theta), phi=squash_to_phase(phi))
 
 
@@ -239,7 +235,10 @@ def trace_of_length(n: int, nu: float, seed: int, *, normalize: bool = False) ->
 
     ``CorrelationSpec`` needs an even length, so an odd ``n`` is padded to
     the next even value and the trace truncated, which preserves the
-    correlation structure.
+    correlation structure.  Raises ``InvalidParameterError`` unless ``n``
+    is a positive integer.
     """
-    spec = CorrelationSpec(nu=nu, length=max(n + n % 2, 2), seed=seed)
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidParameterError(f"trace length must be a positive integer, got {n!r}")
+    spec = CorrelationSpec(nu=nu, length=n + n % 2, seed=seed)
     return generate_fbm_trace(spec, normalize=normalize)[:n]

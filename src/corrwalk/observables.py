@@ -62,11 +62,27 @@ def probability_profile(state: WalkerState) -> np.ndarray:
     return up.real**2 + up.imag**2 + down.real**2 + down.imag**2
 
 
+def centred_moments(weights, offsets, offsets_sq, centre):
+    """Mean site and dispersion of each row ``weights[i]``, in one pass.
+
+    ``weights`` has shape ``(rows, k, n)``, and along its last axis
+    ``offsets`` are the sites minus ``centre``, ``offsets_sq`` their
+    squares.  With ``a`` and ``b`` the sums of a row times each, the mean
+    is ``centre + a`` and sigma ``sqrt(max(b - a**2, 0))``; the variance's
+    rounding error grows as ``((mean - centre) / sigma)**2``.  ``einsum``
+    row sums, unlike ``np.dot``, do not depend on the other rows.
+    """
+    a = np.einsum("ikj,j->i", weights, offsets)
+    b = np.einsum("ikj,j->i", weights, offsets_sq)
+    return centre + a, np.sqrt(np.maximum(b - a * a, 0.0))
+
+
 def dispersion(profile) -> tuple[float, float]:
     """Mean site and spread of a probability profile over sites ``1 .. N``.
 
     Returns ``(mean, sigma)`` with ``mean = sum n P_n`` and
-    ``sigma = sqrt(sum (n - mean)^2 P_n)``.
+    ``sigma = sqrt(sum (n - mean)^2 P_n)``, by ``centred_moments`` about the
+    most probable site ``c``: as ``P_c >= 1/N``, ``|mean - c| <= sigma sqrt(N)``.
 
     Raises
     ------
@@ -82,11 +98,10 @@ def dispersion(profile) -> tuple[float, float]:
     total = p.sum()
     if abs(total - 1.0) > 1e-8:
         raise InvalidParameterError(f"profile sums to {total!r}, expected 1 within 1e-8")
-    sites = np.arange(1.0, p.size + 1.0)
-    mean = float(np.dot(sites, p))
-    dev = sites - mean
-    sigma = float(np.sqrt(np.dot(dev * dev, p)))
-    return mean, sigma
+    centre = float(np.argmax(p) + 1)
+    offsets = np.arange(1.0, p.size + 1.0) - centre
+    mean, sigma = centred_moments(p[None, None], offsets, offsets * offsets, centre)
+    return float(mean[0]), float(sigma[0])
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -2,8 +2,8 @@
 
 ``desk`` presets finish on a commodity machine (reduced sizes and
 realization counts); ``paper`` presets use the full production scale
-(lattices up to N = 32000 and 5000 realizations) and take hours.  A bare
-preset name resolves to its desk variant.
+(lattices up to N = 32000 and 5000 realizations), up to six core-weeks
+each (see the README).  A bare preset name resolves to its desk variant.
 """
 
 from __future__ import annotations

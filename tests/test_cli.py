@@ -38,6 +38,13 @@ class TestTrace:
         assert main(["trace", "--length", "16", "--out", str(tmp_path)]) == 2
         assert "'nu'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", ["-1", "0"])
+    def test_length_below_one_exit_2_before_any_output(self, tmp_path, capsys, length):
+        out = tmp_path / "t"
+        assert main(["trace", "--nu", "1", "--length", length, "--out", str(out)]) == 2
+        assert "length" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_manifest_first_with_config(self, tmp_path):
         assert main(["trace", "--nu", "1", "--length", "16", "--seed", "3", "--out", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())

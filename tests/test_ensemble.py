@@ -161,6 +161,17 @@ class TestBatches:
                 np.testing.assert_array_equal(batch.snapshots[t][b], alone.snapshots[t])
             assert batch.boundary_contact_time[b] == alone.boundary_contact_time
 
+    @pytest.mark.parametrize("N", [257, 1000])
+    def test_batch_rows_bit_for_bit_at_desk_sizes(self, N):
+        # Odd and even row lengths: the moment sums must not depend on where
+        # a row starts in memory.
+        seeds = [derive_seed(22, r) for r in range(1, 5)]
+        batch = run_realization(N, 40, 4.0, 4.0, seeds)
+        for b, seed in enumerate(seeds):
+            alone = run_realization(N, 40, 4.0, 4.0, seed)
+            np.testing.assert_array_equal(batch.dispersion[b], alone.dispersion)
+            np.testing.assert_array_equal(batch.mean_position[b], alone.mean_position)
+
     def test_batch_size_from_lattice_realizations_and_workers(self):
         assert _batch_size(64, 200, 2) == 50
         assert _batch_size(256, 200, 2) == 16

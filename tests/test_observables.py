@@ -17,8 +17,10 @@ from corrwalk import (
     initial_state_symmetric,
     longtime_avg_dispersion,
     probability_profile,
+    run_realization,
 )
-from corrwalk.observables import scaled_windows
+from corrwalk.noise import generate_coin_phases
+from corrwalk.observables import centred_moments, scaled_windows
 
 from _oracles import initial_state_generic
 
@@ -88,6 +90,16 @@ class TestDispersion:
             _, sigma = dispersion(p)
             assert 0.0 <= sigma <= (p.size - 1) / 2
 
+    @pytest.mark.parametrize("N", [64, 1000])
+    def test_quick_start_matches_run_realization(self, N):
+        T, alpha, beta, seed = N // 2, 0.0, 4.0, 7
+        phases = generate_coin_phases(T, N, alpha, beta, seed)
+        final = evolve(initial_state_symmetric(N), phases, T)
+        mean, sigma = dispersion(probability_profile(final))
+        stats = run_realization(N, T, alpha, beta, seed)
+        assert sigma == pytest.approx(stats.dispersion[T], rel=1e-13, abs=0)
+        assert mean == pytest.approx(stats.mean_position[T], rel=1e-13, abs=0)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidParameterError):
             dispersion(np.full(10, 0.2))
@@ -97,6 +109,48 @@ class TestDispersion:
         p[0] = -0.5
         with pytest.raises(InvalidParameterError):
             dispersion(p)
+
+
+class TestCentredMoments:
+    N = 4000
+    CENTRE = 2000.0
+
+    def moments(self, p):
+        offsets = np.arange(1.0, self.N + 1.0) - self.CENTRE
+        mean, sigma = centred_moments(np.atleast_2d(p)[:, None], offsets, offsets * offsets, self.CENTRE)
+        return (mean[0], sigma[0]) if p.ndim == 1 else (mean, sigma)
+
+    @pytest.mark.parametrize("ratio", [0, 1, 10, 100, 216, 500, 1000, -1000])
+    def test_one_pass_error_bounded_under_drifting_mean(self, ratio):
+        # A narrow profile (sigma about 1.9 sites) whose mean lies `ratio`
+        # dispersions from the centre, against a two-pass longdouble sum.
+        sites = np.arange(1.0, self.N + 1.0)
+        peak = self.CENTRE + 1.9 * ratio + 0.3
+        p = np.exp(-0.5 * ((sites - peak) / 1.9) ** 2)
+        p /= p.sum()
+        ps, ns = p.astype(np.longdouble), sites.astype(np.longdouble)
+        mean_ref = np.sum(ns * ps)
+        sigma_ref = np.sqrt(np.sum((ns - mean_ref) ** 2 * ps))
+        assert abs(mean_ref - self.CENTRE) / sigma_ref == pytest.approx(abs(ratio), abs=0.2)
+        mean, sigma = self.moments(p)
+        assert abs(mean - mean_ref) <= 1e-12 * abs(mean_ref)
+        assert abs(sigma - sigma_ref) <= 1e-9 * sigma_ref
+
+    @pytest.mark.parametrize("mass", [1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53])
+    def test_zero_variance_far_from_centre(self, mass):
+        p = np.zeros(self.N)
+        p[int(self.CENTRE) - 1 + 1000] = mass
+        mean, sigma = self.moments(p)
+        assert mean == pytest.approx(self.CENTRE + 1000, rel=1e-15)
+        assert np.isfinite(sigma) and 0.0 <= sigma <= 1e-4
+
+    def test_rows_of_a_batch_equal_rows_alone(self):
+        rng = np.random.default_rng(5)
+        p = rng.random((8, self.N))
+        p /= p.sum(axis=1, keepdims=True)
+        mean, sigma = self.moments(p)
+        for b in range(8):
+            assert (mean[b], sigma[b]) == self.moments(p[b].copy())
 
 
 class TestFitHurst:
