@@ -24,8 +24,6 @@ from .errors import (
 )
 from .noise import (
     CoinPhases,
-    CorrelationSpec,
-    PhaseSequence,
     derive_seed,
     generate_coin_phases,
     generate_fbm_trace,
@@ -47,13 +45,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoinPhases",
-    "CorrelationSpec",
     "DegenerateSeriesError",
     "EnsembleConfig",
     "EnsembleResult",
     "InsufficientDataError",
     "InvalidParameterError",
-    "PhaseSequence",
     "RegimeLabel",
     "ResourceLimitError",
     "SweepResult",

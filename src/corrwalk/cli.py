@@ -34,7 +34,7 @@ from .errors import (
     InvalidParameterError,
     ResourceLimitError,
 )
-from .noise import squash_to_phase, trace_of_length
+from .noise import generate_fbm_trace, squash_to_phase
 from .observables import classify_regime, fit_gamma, fit_hurst, longtime_avg_dispersion
 from .presets import preset_names, resolve_preset
 
@@ -142,6 +142,43 @@ def _grid_field(config: dict, name: str) -> list[float]:
     return grid
 
 
+# Fields that `run` and `phase-diagram` both read, with their defaults.
+_ENSEMBLE_FIELDS = {
+    "realizations": (int, 200),
+    "seed": (int, 0),
+    "sigma_window": (int, 100),
+    "normalize_variance": (bool, False),
+    "update_cap": (int, DEFAULT_UPDATE_CAP),
+}
+_TRACE_FIELDS = ("nu", "length", "seed", "raw")
+_RUN_FIELDS = ("N", "sizes", "T", "t_rule", "alpha_t", "beta_s", "snapshot_times", "fit_window",
+               "snapshot_single", *_ENSEMBLE_FIELDS)
+_SWEEP_FIELDS = ("grid_alpha", "grid_beta", "sizes", *_ENSEMBLE_FIELDS)
+
+
+def _known_fields(config: dict, fields) -> None:
+    """Refuse a field the command does not read, such as a misspelt one."""
+    unknown = sorted(set(config) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown field(s) {unknown}; known fields are {sorted(fields)}")
+
+
+def _ensemble_fields(config: dict) -> dict:
+    parsed = {name: _field(config, name, kind, default=d) for name, (kind, d) in _ENSEMBLE_FIELDS.items()}
+    if parsed["sigma_window"] < 1:
+        raise ConfigError(f"field 'sigma_window': must be positive, got {parsed['sigma_window']}")
+    return parsed
+
+
+def _ensemble_config(config: dict, N: int, T: int, alpha_t: float, beta_s: float, **extra) -> EnsembleConfig:
+    """One run's ``EnsembleConfig``; the rows of ``_ENSEMBLE_FIELDS`` come from ``config``."""
+    return EnsembleConfig(
+        N=N, T=T, alpha_t=alpha_t, beta_s=beta_s, realizations=config["realizations"],
+        master_seed=config["seed"], normalize_variance=config["normalize_variance"],
+        update_cap=config["update_cap"], **extra,
+    )
+
+
 def _out_dir(args, command: str) -> Path:
     if args.out:
         return Path(args.out)
@@ -190,11 +227,12 @@ def _cmd_trace(args) -> int:
     config = _resolved_config(
         args, "trace", {"nu": args.nu, "length": args.length, "raw": args.raw or None}
     )
+    _known_fields(config, _TRACE_FIELDS)
     nu = _field(config, "nu", float, required=True)
     length = _field(config, "length", int, required=True)
     seed = _field(config, "seed", int, default=0)
     raw = _field(config, "raw", bool, default=False)
-    trace = trace_of_length(length, nu, seed)
+    trace = generate_fbm_trace(length, nu, seed)
 
     out_dir = _out_dir(args, "trace")
     resolved = {"nu": nu, "length": length, "seed": seed, "raw": raw}
@@ -203,7 +241,7 @@ def _cmd_trace(args) -> int:
     if raw:
         path = io.write_phase_csv(out_dir / "trace.csv", trace, value_label="value")
     else:
-        path = io.write_phase_csv(out_dir / "trace.csv", squash_to_phase(trace).values, value_label="V")
+        path = io.write_phase_csv(out_dir / "trace.csv", squash_to_phase(trace), value_label="V")
     print(f"wrote {path}")
     return 0
 
@@ -213,6 +251,10 @@ def _cmd_trace(args) -> int:
 
 
 def _parse_run_config(config: dict) -> dict:
+    _known_fields(config, _RUN_FIELDS)
+    # Manifests of earlier versions hold "snapshot_single": false; snapshots are always averaged.
+    if _field(config, "snapshot_single", bool, default=False):
+        raise ConfigError("field 'snapshot_single': no longer supported; snapshots are averaged")
     N = _field(config, "N", int)
     sizes = _sizes_field(config)
     if (N is None) == (sizes is None):
@@ -237,10 +279,6 @@ def _parse_run_config(config: dict) -> dict:
             f"field 'fit_window': expected [t_min, t_max] with 0 <= t_min < t_max, got {fit_window}"
         )
 
-    sigma_window = _field(config, "sigma_window", int, default=100)
-    if sigma_window < 1:
-        raise ConfigError(f"field 'sigma_window': must be positive, got {sigma_window}")
-
     return {
         "N": N,
         "sizes": sizes,
@@ -248,14 +286,9 @@ def _parse_run_config(config: dict) -> dict:
         "t_rule": t_rule,
         "alpha_t": _field(config, "alpha_t", float, required=True),
         "beta_s": _field(config, "beta_s", float, required=True),
-        "realizations": _field(config, "realizations", int, default=200),
-        "seed": _field(config, "seed", int, default=0),
         "snapshot_times": snapshot_times,
-        "normalize_variance": _field(config, "normalize_variance", bool, default=False),
-        "snapshot_single": _field(config, "snapshot_single", bool, default=False),
-        "sigma_window": sigma_window,
         "fit_window": fit_window,
-        "update_cap": _field(config, "update_cap", int, default=DEFAULT_UPDATE_CAP),
+        **_ensemble_fields(config),
     }
 
 
@@ -271,17 +304,9 @@ def _cmd_run(args) -> int:
 
     sizes = config["sizes"] or [config["N"]]
     horizon = partial(_time_horizon, T=config["T"], t_rule=config["t_rule"])
-    first = EnsembleConfig(
-        N=sizes[0],
-        T=horizon(sizes[0]),
-        alpha_t=config["alpha_t"],
-        beta_s=config["beta_s"],
-        realizations=config["realizations"],
-        master_seed=config["seed"],
+    first = _ensemble_config(
+        config, sizes[0], horizon(sizes[0]), config["alpha_t"], config["beta_s"],
         snapshot_times=tuple(config["snapshot_times"]),
-        normalize_variance=config["normalize_variance"],
-        snapshot_single=config["snapshot_single"],
-        update_cap=config["update_cap"],
     )
     # A single size is the one run and keeps sigma_window; nothing is fitted
     # from its sigma_bar, which is null when the run is shorter than the
@@ -346,6 +371,7 @@ def _cmd_run(args) -> int:
 
 
 def _parse_sweep_config(config: dict) -> dict:
+    _known_fields(config, _SWEEP_FIELDS)
     grid_alpha = _grid_field(config, "grid_alpha")
     grid_beta = _grid_field(config, "grid_beta")
     sizes = _sizes_field(config, required=True)
@@ -355,11 +381,7 @@ def _parse_sweep_config(config: dict) -> dict:
         "grid_alpha": grid_alpha,
         "grid_beta": grid_beta,
         "sizes": sizes,
-        "realizations": _field(config, "realizations", int, default=200),
-        "seed": _field(config, "seed", int, default=0),
-        "sigma_window": _field(config, "sigma_window", int, default=100),
-        "normalize_variance": _field(config, "normalize_variance", bool, default=False),
-        "update_cap": _field(config, "update_cap", int, default=DEFAULT_UPDATE_CAP),
+        **_ensemble_fields(config),
     }
 
 
@@ -369,16 +391,7 @@ def _cmd_phase_diagram(args) -> int:
 
     # The first cell's first run; the sweep derives every other run from it.
     N = config["sizes"][0]
-    first = EnsembleConfig(
-        N=N,
-        T=N // 2,
-        alpha_t=config["grid_alpha"][0],
-        beta_s=config["grid_beta"][0],
-        realizations=config["realizations"],
-        master_seed=config["seed"],
-        normalize_variance=config["normalize_variance"],
-        update_cap=config["update_cap"],
-    )
+    first = _ensemble_config(config, N, N // 2, config["grid_alpha"][0], config["grid_beta"][0])
     try:
         size_configs(first, config["sizes"], config["sigma_window"])
     except InvalidParameterError as exc:

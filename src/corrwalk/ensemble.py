@@ -64,7 +64,6 @@ class EnsembleConfig:
     master_seed: int = 0
     snapshot_times: tuple[int, ...] = ()
     normalize_variance: bool = False
-    snapshot_single: bool = False
     update_cap: int = DEFAULT_UPDATE_CAP
 
     def __post_init__(self) -> None:
@@ -75,8 +74,8 @@ class EnsembleConfig:
         for name, value in (("alpha_t", self.alpha_t), ("beta_s", self.beta_s)):
             if not np.isfinite(value) or value < 0:
                 raise InvalidParameterError(f"{name} must be a finite non-negative real, got {value}")
-        if self.realizations < 1:
-            raise InvalidParameterError(f"realizations must be >= 1, got {self.realizations}")
+        if not isinstance(self.realizations, (int, np.integer)) or self.realizations < 1:
+            raise InvalidParameterError(f"realizations must be an integer >= 1, got {self.realizations}")
         _check_seed(self.master_seed)
         object.__setattr__(self, "snapshot_times", tuple(int(t) for t in self.snapshot_times))
         for t in self.snapshot_times:
@@ -292,37 +291,26 @@ def _reduce(results, config: EnsembleConfig) -> tuple[TrajectoryStats, int]:
     sigma_sum = np.zeros(config.T + 1)
     mean_sum = np.zeros(config.T + 1)
     snap_sums = {t: np.zeros(config.N) for t in config.snapshot_times}
-    first_snapshots: dict[int, np.ndarray] | None = None
     contact_min: int | None = None
     contacted = 0
 
-    for index, (sigma, mean, contact, snapshots) in enumerate(results):
+    for sigma, mean, contact, snapshots in results:
         sigma_sum += sigma
         mean_sum += mean
         if contact is not None:
             contacted += 1
             contact_min = contact if contact_min is None else min(contact_min, contact)
-        if snapshots:
-            if index == 0:
-                first_snapshots = snapshots
-            for t, profile in snapshots.items():
-                snap_sums[t] += profile
+        for t, profile in snapshots.items():
+            snap_sums[t] += profile
 
     R = config.realizations
     sigma_sum /= R
     mean_sum /= R
-    averaged: dict[int, np.ndarray] | None = None
-    if config.snapshot_times:
-        if config.snapshot_single:
-            averaged = first_snapshots
-        else:
-            averaged = {t: snap_sums[t] / R for t in config.snapshot_times}
-
     stats = TrajectoryStats(
         times=np.arange(config.T + 1),
         mean_position=mean_sum,
         dispersion=sigma_sum,
-        snapshots=averaged,
+        snapshots={t: total / R for t, total in snap_sums.items()} or None,
         boundary_contact_time=contact_min,
     )
     return stats, contacted

@@ -64,52 +64,13 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-@dataclass(frozen=True)
-class CorrelationSpec:
-    """Recipe for one correlated random sequence.
-
-    Attributes
-    ----------
-    nu : float
-        Power-law exponent of the mode amplitudes, ``nu >= 0``.
-    length : int
-        Sequence length ``M``; must be even and at least 2 (the mode sum
-        runs over ``k = 1 .. M/2``).
-    seed : int
-        Unsigned 64-bit seed for the mode-phase draws.
-    """
-
-    nu: float
-    length: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.nu) or self.nu < 0:
-            raise InvalidParameterError(f"nu must be a finite non-negative real, got {self.nu}")
-        if not isinstance(self.length, (int, np.integer)) or self.length < 2 or self.length % 2:
-            raise InvalidParameterError(f"length must be an even integer >= 2, got {self.length}")
-        _check_seed(self.seed)
-
-
-@dataclass(frozen=True)
-class PhaseSequence:
-    """Immutable 1-D sequence of angles, each in ``[0, 2*pi)``."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        if vals.ndim != 1 or vals.size == 0:
-            raise InvalidParameterError("phase sequence must be a non-empty 1-D array")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidParameterError("phase sequence contains non-finite values")
-        if vals.min() < 0.0 or vals.max() >= TWO_PI:
-            raise InvalidParameterError("phase values must lie in [0, 2*pi)")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return self.values.size
+def _finite_1d(values, name: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidParameterError(f"{name} must be a non-empty 1-D array")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParameterError(f"{name} contains non-finite entries")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -117,45 +78,52 @@ class CoinPhases:
     """Coin phases for one disorder realization.
 
     ``theta`` holds one angle per time step, ``phi`` one angle per lattice
-    site.
+    site, each a non-empty 1-D float64 array of values in ``[0, 2*pi)``.
+    Both are stored as read-only views: no copy is made, and the caller's
+    array stays writeable.
     """
 
-    theta: PhaseSequence
-    phi: PhaseSequence
+    theta: np.ndarray
+    phi: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("theta", "phi"):
+            view = _finite_1d(getattr(self, name), name).view()
+            if view.min() < 0.0 or view.max() >= TWO_PI:
+                raise InvalidParameterError(f"{name} values must lie in [0, 2*pi)")
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
 
-def generate_fbm_trace(spec: CorrelationSpec, *, normalize: bool = False) -> np.ndarray:
-    """Synthesise the correlated trace described by ``spec``.
+def generate_fbm_trace(n: int, nu: float, seed: int, *, normalize: bool = False) -> np.ndarray:
+    """The first ``n`` values of the correlated trace for ``(nu, seed)``.
 
-    The trace value at position ``j`` (1-based, ``j = 1 .. M``) is
+    Index ``i`` holds position ``j = i + 1`` of the trace of even length
+    ``M``, whose value at ``j = 1 .. M`` is
 
         sum_{k=1}^{M/2} sqrt((2*pi/M)**(1 - nu) / k**nu) * cos(2*pi*j*k/M + mu_k)
 
     with the ``mu_k`` drawn independently and uniformly from ``[0, 2*pi)``
-    out of the seeded stream.  Deterministic for a fixed seed.  The sum is
-    evaluated as an inverse DFT of the amplitude-weighted random phasors,
-    in O(M log M).
+    out of the stream seeded by ``seed``.  Deterministic for a fixed seed.
+    The sum is evaluated as an inverse DFT of the amplitude-weighted random
+    phasors, in O(M log M).  ``M`` is ``n``, padded to ``n + 1`` for an odd
+    ``n``: truncating the padded trace preserves its correlation structure.
+    Raises ``InvalidParameterError`` unless ``n`` is a positive integer,
+    ``nu`` finite and >= 0, and ``seed`` an unsigned 64-bit integer.
 
-    Parameters
-    ----------
-    spec : CorrelationSpec
-        Exponent, length, and seed of the sequence.
-    normalize : bool
-        If true, rescale the trace to zero mean and unit sample variance
-        before returning it.  Off by default: the raw mode sum has a nu-
-        and M-dependent variance (pi/2 at nu = 0).
-
-    Returns
-    -------
-    numpy.ndarray
-        Real trace of length ``spec.length``; index ``i`` holds position
-        ``j = i + 1``.
+    With ``normalize`` the length-``M`` trace is rescaled to zero mean and
+    unit sample variance before it is truncated.  Off by default: the raw
+    mode sum has a nu- and M-dependent variance (pi/2 at nu = 0).
     """
-    M = int(spec.length)
-    rng = np.random.default_rng(spec.seed)
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidParameterError(f"trace length must be a positive integer, got {n!r}")
+    if not np.isfinite(nu) or nu < 0:
+        raise InvalidParameterError(f"nu must be a finite non-negative real, got {nu}")
+    M = int(n + n % 2)
+    rng = np.random.default_rng(_check_seed(seed))
     mode_phases = rng.uniform(0.0, TWO_PI, M // 2)
     k = np.arange(1, M // 2 + 1)
-    amps = np.sqrt((TWO_PI / M) ** (1.0 - spec.nu) * k ** (-float(spec.nu)))
+    amps = np.sqrt((TWO_PI / M) ** (1.0 - nu) * k ** (-float(nu)))
 
     modes = np.zeros(M, dtype=np.complex128)
     modes[1 : M // 2 + 1] = amps * np.exp(1j * mode_phases)
@@ -170,10 +138,10 @@ def generate_fbm_trace(spec: CorrelationSpec, *, normalize: bool = False) -> np.
 
     if normalize:
         trace = (trace - trace.mean()) / trace.std()
-    return trace
+    return trace[:n]
 
 
-def squash_to_phase(trace) -> PhaseSequence:
+def squash_to_phase(trace) -> np.ndarray:
     """Map an unbounded real trace into ``[0, 2*pi)`` via ``pi*(tanh(x) + 1)``.
 
     The map is strictly monotone increasing and order preserving; the open
@@ -185,14 +153,9 @@ def squash_to_phase(trace) -> PhaseSequence:
     InvalidParameterError
         If the trace is empty or contains non-finite entries.
     """
-    arr = np.asarray(trace, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidParameterError("trace must be a non-empty 1-D array")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameterError("trace contains non-finite entries")
-    vals = np.pi * (np.tanh(arr) + 1.0)
+    vals = np.pi * (np.tanh(_finite_1d(trace, "trace")) + 1.0)
     np.minimum(vals, _PHASE_SUP, out=vals)
-    return PhaseSequence(vals)
+    return vals
 
 
 def generate_coin_phases(
@@ -206,39 +169,14 @@ def generate_coin_phases(
 ) -> CoinPhases:
     """Generate the temporal and spatial coin-phase sequences for one run.
 
-    ``theta`` is built from a trace of length ``T`` with exponent
-    ``alpha_t``; ``phi`` from a trace of length ``N`` with exponent
-    ``beta_s``.  The two mode-phase draws are statistically independent:
-    their generators are seeded from ``seed`` through the sub-stream
-    labels ``"theta"`` and ``"phi"``.  Odd lengths are padded as
-    ``trace_of_length`` describes.
-
-    Parameters
-    ----------
-    T, N : int
-        Number of time steps and lattice sites (>= 1 each).
-    alpha_t, beta_s : float
-        Power-law exponents of the temporal and spatial correlations.
-    seed : int
-        Unsigned 64-bit master seed for this realization.
-    normalize : bool
-        Rescale both traces to zero mean and unit variance before the
-        squash (see ``generate_fbm_trace``).
+    ``theta`` is the squashed trace of length ``T`` with exponent
+    ``alpha_t``; ``phi`` that of length ``N`` with exponent ``beta_s``
+    (``generate_fbm_trace``, which pads odd lengths and applies
+    ``normalize``).  The two mode-phase draws are statistically
+    independent: their generators are seeded from the unsigned 64-bit
+    ``seed`` through the sub-stream labels ``"theta"`` and ``"phi"``.
     """
-    theta = trace_of_length(T, alpha_t, derive_seed(seed, "theta"), normalize=normalize)
-    phi = trace_of_length(N, beta_s, derive_seed(seed, "phi"), normalize=normalize)
+    theta = generate_fbm_trace(T, alpha_t, derive_seed(seed, "theta"), normalize=normalize)
+    phi = generate_fbm_trace(N, beta_s, derive_seed(seed, "phi"), normalize=normalize)
     return CoinPhases(theta=squash_to_phase(theta), phi=squash_to_phase(phi))
 
-
-def trace_of_length(n: int, nu: float, seed: int, *, normalize: bool = False) -> np.ndarray:
-    """The first ``n`` values of the correlated trace for ``(nu, seed)``.
-
-    ``CorrelationSpec`` needs an even length, so an odd ``n`` is padded to
-    the next even value and the trace truncated, which preserves the
-    correlation structure.  Raises ``InvalidParameterError`` unless ``n``
-    is a positive integer.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameterError(f"trace length must be a positive integer, got {n!r}")
-    spec = CorrelationSpec(nu=nu, length=n + n % 2, seed=seed)
-    return generate_fbm_trace(spec, normalize=normalize)[:n]

@@ -155,11 +155,11 @@ def evolve(
             raise InvalidParameterError(f"need {T} temporal phases, sequence has {len(row.theta)}")
         if len(row.phi) != N:
             raise InvalidParameterError(f"phi has length {len(row.phi)}, lattice has {N} sites")
-    exp_phi_scaled = np.exp(1j * np.stack([row.phi.values for row in rows]).reshape(shape))
+    exp_phi_scaled = np.exp(1j * np.stack([row.phi for row in rows]).reshape(shape))
     exp_phi_scaled *= INV_SQRT2
     if T == 0:
         return state.copy()
-    theta = np.stack([row.theta.values[:T] for row in rows], axis=-1)
+    theta = np.stack([row.theta[:T] for row in rows], axis=-1)
     exp_theta = np.exp(1j * theta).reshape(T, *shape[:-1], 1)
 
     u = state.up.copy()

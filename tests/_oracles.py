@@ -57,12 +57,13 @@ def whole_lattice_step(state, theta_t, phi):
     return WalkerState(up=up, down=down, time=state.time + 1)
 
 
-def direct_fbm_trace(spec):
-    """The trace of ``generate_fbm_trace(spec)`` as the literal O(M^2) mode sum."""
-    M = int(spec.length)
-    mode_phases = np.random.default_rng(spec.seed).uniform(0.0, TWO_PI, M // 2)
+def direct_fbm_trace(n, nu, seed):
+    """The trace of ``generate_fbm_trace(n, nu, seed)``, for an even ``n``,
+    as the literal O(M^2) mode sum."""
+    M = int(n)
+    mode_phases = np.random.default_rng(seed).uniform(0.0, TWO_PI, M // 2)
     k = np.arange(1, M // 2 + 1)
-    amps = np.sqrt((TWO_PI / M) ** (1.0 - spec.nu) * k ** (-float(spec.nu)))
+    amps = np.sqrt((TWO_PI / M) ** (1.0 - nu) * k ** (-float(nu)))
     trace = np.empty(M)
     positions = np.arange(1, M + 1)
     for lo in range(0, M, _DIRECT_BLOCK):

@@ -13,9 +13,7 @@ import pytest
 from _oracles import as_vector, dense_step_unitary, periodogram_slope, windowed_peaks
 from corrwalk import (
     CoinPhases,
-    CorrelationSpec,
     EnsembleConfig,
-    PhaseSequence,
     derive_seed,
     evolve,
     fit_gamma,
@@ -96,7 +94,7 @@ def test_criterion_01_unitarity():
             vec = dense_step_unitary(theta[t], phi) @ vec
         out = evolve(
             initial_state_symmetric(N_small),
-            CoinPhases(theta=PhaseSequence(theta), phi=PhaseSequence(phi)),
+            CoinPhases(theta=theta, phi=phi),
             T_small,
         )
         max_dev = max(max_dev, float(np.abs(as_vector(out) - vec).max()))
@@ -112,7 +110,7 @@ def test_criterion_01_unitarity():
 
 def test_criterion_02_homogeneous_ballistic():
     N, T = 2000, 1000
-    phases = CoinPhases(theta=PhaseSequence(np.zeros(T)), phi=PhaseSequence(np.zeros(N)))
+    phases = CoinPhases(theta=np.zeros(T), phi=np.zeros(N))
     sites = np.arange(1.0, N + 1)
     sigma = np.zeros(T + 1)
 
@@ -245,10 +243,9 @@ def test_criterion_09_spectral_fidelity():
     for nu in (0.5, 1.0, 2.0, 3.0):
         slopes = []
         for s in range(50):
-            spec = CorrelationSpec(nu=nu, length=4096, seed=derive_seed(ACCEPT_SEED, "spec", s))
-            trace = generate_fbm_trace(spec)
+            trace = generate_fbm_trace(4096, nu, derive_seed(ACCEPT_SEED, "spec", s))
             slopes.append(periodogram_slope(trace))
-            squashed = squash_to_phase(trace).values
+            squashed = squash_to_phase(trace)
             in_range = in_range and bool(
                 np.all(squashed >= 0.0) and np.all(squashed < 2 * np.pi)
             )

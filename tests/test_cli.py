@@ -45,6 +45,14 @@ class TestTrace:
         assert "length" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_field_exit_2_before_any_output(self, tmp_path, capsys):
+        cfg = tmp_path / "trace.json"
+        cfg.write_text(json.dumps({"nu": 1.0, "length": 16, "lenght": 32}))
+        out = tmp_path / "t"
+        assert main(["trace", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "lenght" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_manifest_first_with_config(self, tmp_path):
         assert main(["trace", "--nu", "1", "--length", "16", "--seed", "3", "--out", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -185,6 +193,28 @@ class TestRun:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value", [("realisations", 3), ("sigma_windw", 5), ("snapshot_single", True)]
+    )
+    def test_unknown_or_removed_field_exit_2_before_compute(self, tmp_path, capsys, field, value):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(run_config(tmp_path, **{field: value})), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_holding_snapshot_single_false_replays(self, tmp_path):
+        # Manifests written while the field existed hold it as false.
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(run_config(tmp_path, snapshot_times=[24])), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["snapshot_single"] = False
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        replay = tmp_path / "replay"
+        assert main(["run", "--config", str(old), "--out", str(replay)]) == 0
+        for name in ("trajectory_N64.csv", "snapshot_N64_t24.csv"):
+            assert (replay / name).read_bytes() == (out / name).read_bytes()
+
     def test_single_size_keeps_a_window_longer_than_the_run(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--config", str(run_config(tmp_path, sigma_window=100)), "--out", str(out)]) == 0
@@ -273,6 +303,7 @@ class TestPhaseDiagram:
             ("grid_alpha", [], "at least one value"),
             ("grid_beta", ["x"], "grid_beta"),
             ("sizes", [32, 64, 64, 128], "distinct"),
+            ("sigma_windw", 5, "sigma_windw"),
         ],
     )
     def test_bad_grid_or_sizes_exit_2_before_compute(self, tmp_path, capsys, field, value, message):

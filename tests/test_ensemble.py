@@ -45,6 +45,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError):
             small_config(realizations=0)
 
+    @pytest.mark.parametrize("realizations", [2.5, "3", None])
+    def test_rejects_non_integer_realizations(self, realizations):
+        with pytest.raises(InvalidParameterError, match="realizations"):
+            small_config(realizations=realizations)
+
     def test_rejects_bad_exponents(self):
         with pytest.raises(InvalidParameterError):
             small_config(alpha_t=-1.0)
@@ -94,19 +99,6 @@ class TestRunEnsemble:
     def test_dispersion_non_negative(self):
         result = run_ensemble(small_config(realizations=3))
         assert np.all(result.stats.dispersion >= 0)
-
-    def test_snapshot_single_uses_first_realization(self):
-        config = small_config(realizations=4, snapshot_times=(32,), snapshot_single=True)
-        result = run_ensemble(config)
-        first = run_realization(
-            config.N,
-            config.T,
-            config.alpha_t,
-            config.beta_s,
-            derive_seed(config.master_seed, 1),
-            snapshot_times=(32,),
-        )
-        np.testing.assert_array_equal(result.stats.snapshots[32], first.snapshots[32])
 
     def test_seed_disjointness(self):
         result = run_ensemble(small_config(realizations=64))
@@ -203,7 +195,7 @@ class TestBatches:
             phases = generate_coin_phases(config.T, config.N, config.alpha_t, config.beta_s, seed)
             state = initial_state_symmetric(config.N)
             for t in range(1, config.T + 1):
-                state = whole_lattice_step(state, phases.theta.values[t - 1], phases.phi.values)
+                state = whole_lattice_step(state, phases.theta[t - 1], phases.phi)
                 if t in expected:
                     p = state.up.real * state.up.real
                     p += state.up.imag * state.up.imag

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrwalk import (
-    CorrelationSpec,
+    CoinPhases,
     InvalidParameterError,
-    PhaseSequence,
     derive_seed,
     generate_coin_phases,
     generate_fbm_trace,
@@ -18,39 +17,32 @@ from _oracles import direct_fbm_trace, periodogram_slope
 TWO_PI = 2.0 * np.pi
 
 
-class TestCorrelationSpec:
-    def test_rejects_odd_length(self):
-        with pytest.raises(InvalidParameterError):
-            CorrelationSpec(nu=1.0, length=101, seed=1)
-
+class TestFbmTrace:
     def test_rejects_zero_length(self):
         with pytest.raises(InvalidParameterError):
-            CorrelationSpec(nu=1.0, length=0, seed=1)
+            generate_fbm_trace(0, 1.0, 1)
 
     def test_rejects_negative_nu(self):
         with pytest.raises(InvalidParameterError):
-            CorrelationSpec(nu=-0.5, length=100, seed=1)
+            generate_fbm_trace(100, -0.5, 1)
 
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(InvalidParameterError):
-            CorrelationSpec(nu=0.0, length=100, seed=2**64)
+            generate_fbm_trace(100, 0.0, 2**64)
         with pytest.raises(InvalidParameterError):
-            CorrelationSpec(nu=0.0, length=100, seed=-1)
+            generate_fbm_trace(100, 0.0, -1)
 
-
-class TestFbmTrace:
     def test_two_point_trace_closed_form(self):
         # Single-mode sum: value at j is sqrt(pi) * cos(pi*j + mu_1).
-        spec = CorrelationSpec(nu=0.0, length=2, seed=99)
         mu1 = np.random.default_rng(99).uniform(0.0, TWO_PI, 1)[0]
         expected = np.sqrt(np.pi) * np.cos(np.pi * np.arange(1, 3) + mu1)
-        np.testing.assert_allclose(generate_fbm_trace(spec), expected, atol=1e-12)
+        np.testing.assert_allclose(generate_fbm_trace(2, 0.0, 99), expected, atol=1e-12)
 
     def test_sample_mean_near_zero_over_seeds(self):
         # Expected value frozen from the mode-sum structure: every mode has
         # zero mean over a full period, so the per-trace sample mean is ~0.
         means = [
-            generate_fbm_trace(CorrelationSpec(nu=0.0, length=1000, seed=s)).mean()
+            generate_fbm_trace(1000, 0.0, s).mean()
             for s in range(100)
         ]
         assert abs(np.mean(means)) < 0.2
@@ -59,7 +51,7 @@ class TestFbmTrace:
     @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 3.0])
     def test_periodogram_slope_matches_exponent(self, nu):
         slopes = [
-            periodogram_slope(generate_fbm_trace(CorrelationSpec(nu=nu, length=4096, seed=s)))
+            periodogram_slope(generate_fbm_trace(4096, nu, s))
             for s in range(50)
         ]
         assert abs(np.mean(slopes) + nu) < 0.3
@@ -67,24 +59,23 @@ class TestFbmTrace:
     def test_lag1_autocorrelation_uncorrelated(self):
         acs = []
         for s in range(100):
-            v = generate_fbm_trace(CorrelationSpec(nu=0.0, length=1000, seed=s))
+            v = generate_fbm_trace(1000, 0.0, s)
             v = v - v.mean()
             acs.append(np.dot(v[:-1], v[1:]) / np.dot(v, v))
         assert abs(np.mean(acs)) < 0.1
 
     def test_deterministic_for_fixed_seed(self):
-        spec = CorrelationSpec(nu=1.5, length=512, seed=777)
-        np.testing.assert_array_equal(generate_fbm_trace(spec), generate_fbm_trace(spec))
+        np.testing.assert_array_equal(generate_fbm_trace(512, 1.5, 777), generate_fbm_trace(512, 1.5, 777))
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 2.0, 4.0])
     @pytest.mark.parametrize("length", [2, 64, 1024])
     def test_fft_matches_direct_reference(self, nu, length):
-        spec = CorrelationSpec(nu=nu, length=length, seed=31337)
-        np.testing.assert_allclose(generate_fbm_trace(spec), direct_fbm_trace(spec), atol=1e-10)
+        np.testing.assert_allclose(
+            generate_fbm_trace(length, nu, 31337), direct_fbm_trace(length, nu, 31337), atol=1e-10
+        )
 
     def test_normalize_flag_rescales(self):
-        spec = CorrelationSpec(nu=2.0, length=1024, seed=5)
-        trace = generate_fbm_trace(spec, normalize=True)
+        trace = generate_fbm_trace(1024, 2.0, 5, normalize=True)
         assert abs(trace.mean()) < 1e-12
         assert abs(trace.std() - 1.0) < 1e-12
 
@@ -92,18 +83,18 @@ class TestFbmTrace:
 class TestSquashToPhase:
     def test_zero_maps_to_pi(self):
         seq = squash_to_phase(np.zeros(5))
-        np.testing.assert_allclose(seq.values, np.pi, atol=1e-15)
+        np.testing.assert_allclose(seq, np.pi, atol=1e-15)
 
     def test_saturation_limits_stay_half_open(self):
         seq = squash_to_phase(np.array([-1e6, 1e6]))
-        assert 0.0 < seq.values[0] < 1e-6 or seq.values[0] == 0.0
-        assert seq.values[0] >= 0.0
-        assert seq.values[1] < TWO_PI
+        assert 0.0 < seq[0] < 1e-6 or seq[0] == 0.0
+        assert seq[0] >= 0.0
+        assert seq[1] < TWO_PI
 
     def test_known_value(self):
         x = np.arctanh(0.5)
         seq = squash_to_phase(np.array([x]))
-        np.testing.assert_allclose(seq.values[0], 1.5 * np.pi, rtol=1e-12)
+        np.testing.assert_allclose(seq[0], 1.5 * np.pi, rtol=1e-12)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidParameterError):
@@ -124,30 +115,44 @@ class TestSquashToPhase:
             return
         lo, hi = min(x, y), max(x, y)
         seq = squash_to_phase(np.array([lo, hi]))
-        assert seq.values[0] < seq.values[1]
+        assert seq[0] < seq[1]
 
     @given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=64))
     @settings(max_examples=200, deadline=None)
     def test_output_always_in_range(self, xs):
         seq = squash_to_phase(np.array(xs))
-        assert np.all(seq.values >= 0.0)
-        assert np.all(seq.values < TWO_PI)
-
-
-class TestPhaseSequence:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidParameterError):
-            PhaseSequence(np.array([0.0, TWO_PI]))
-        with pytest.raises(InvalidParameterError):
-            PhaseSequence(np.array([-0.1]))
-
-    def test_values_read_only(self):
-        seq = PhaseSequence(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            seq.values[0] = 0.5
+        assert np.all(seq >= 0.0)
+        assert np.all(seq < TWO_PI)
 
 
 class TestCoinPhases:
+    def test_rejects_out_of_range(self):
+        with pytest.raises(InvalidParameterError):
+            CoinPhases(theta=np.array([0.0, TWO_PI]), phi=np.zeros(2))
+        with pytest.raises(InvalidParameterError):
+            CoinPhases(theta=np.zeros(2), phi=np.array([-0.1]))
+
+    def test_rejects_non_finite_and_2d(self):
+        with pytest.raises(InvalidParameterError):
+            CoinPhases(theta=np.array([0.0, np.nan]), phi=np.zeros(2))
+        with pytest.raises(InvalidParameterError):
+            CoinPhases(theta=np.zeros(2), phi=np.zeros((2, 2)))
+
+    def test_values_read_only(self):
+        phases = CoinPhases(theta=np.array([1.0, 2.0]), phi=np.array([3.0]))
+        assert phases.theta.dtype == np.float64 and phases.phi.dtype == np.float64
+        with pytest.raises(ValueError):
+            phases.theta[0] = 0.5
+        with pytest.raises(ValueError):
+            phases.phi[0] = 0.5
+
+    def test_caller_array_stays_writeable_and_is_not_copied(self):
+        theta = np.array([1.0, 2.0])
+        phases = CoinPhases(theta=theta, phi=np.array([3.0]))
+        assert np.shares_memory(phases.theta, theta)
+        theta[0] = 0.5
+        assert theta.flags.writeable
+
     def test_lengths(self):
         phases = generate_coin_phases(50, 40, 1.0, 2.0, seed=3)
         assert len(phases.theta) == 50
@@ -156,29 +161,31 @@ class TestCoinPhases:
     def test_deterministic(self):
         a = generate_coin_phases(64, 32, 0.5, 0.5, seed=11)
         b = generate_coin_phases(64, 32, 0.5, 0.5, seed=11)
-        np.testing.assert_array_equal(a.theta.values, b.theta.values)
-        np.testing.assert_array_equal(a.phi.values, b.phi.values)
+        np.testing.assert_array_equal(a.theta, b.theta)
+        np.testing.assert_array_equal(a.phi, b.phi)
 
     def test_theta_phi_streams_independent(self):
         phases = generate_coin_phases(64, 64, 0.0, 0.0, seed=21)
-        assert not np.array_equal(phases.theta.values, phases.phi.values)
+        assert not np.array_equal(phases.theta, phases.phi)
 
     def test_odd_lengths_truncate_even_generation(self):
-        odd = generate_coin_phases(63, 31, 1.0, 1.0, seed=8)
-        even = generate_coin_phases(64, 32, 1.0, 1.0, seed=8)
-        np.testing.assert_array_equal(odd.theta.values, even.theta.values[:63])
-        np.testing.assert_array_equal(odd.phi.values, even.phi.values[:31])
+        # Normalization is over the padded trace, so it truncates alike.
+        for normalize in (False, True):
+            odd = generate_coin_phases(63, 31, 1.0, 1.0, seed=8, normalize=normalize)
+            even = generate_coin_phases(64, 32, 1.0, 1.0, seed=8, normalize=normalize)
+            np.testing.assert_array_equal(odd.theta, even.theta[:63])
+            np.testing.assert_array_equal(odd.phi, even.phi[:31])
 
     def test_uncorrelated_values_fill_range(self):
         phases = generate_coin_phases(1000, 1000, 0.0, 0.0, seed=4)
-        for values in (phases.theta.values, phases.phi.values):
+        for values in (phases.theta, phases.phi):
             counts, _ = np.histogram(values, bins=8, range=(0.0, TWO_PI))
             assert np.all(counts > 0)
 
     def test_correlated_theta_keeps_spectral_slope(self):
         # The squash preserves the asymptotic power law; check the raw trace.
         seed = derive_seed(12, "theta")
-        trace = generate_fbm_trace(CorrelationSpec(nu=2.0, length=4096, seed=seed))
+        trace = generate_fbm_trace(4096, 2.0, seed)
         assert abs(periodogram_slope(trace) + 2.0) < 0.3
 
     def test_rejects_non_positive_dimensions(self):

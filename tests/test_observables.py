@@ -6,7 +6,6 @@ from corrwalk import (
     DegenerateSeriesError,
     InsufficientDataError,
     InvalidParameterError,
-    PhaseSequence,
     RegimeLabel,
     TrajectoryStats,
     classify_regime,
@@ -44,7 +43,7 @@ class TestProbabilityProfile:
     def test_one_hadamard_step_from_spin_up(self):
         N = 11
         state, _ = initial_state_generic(N, [(6, 1.0, 0.0)])
-        hadamard = CoinPhases(theta=PhaseSequence(np.zeros(1)), phi=PhaseSequence(np.zeros(N)))
+        hadamard = CoinPhases(theta=np.zeros(1), phi=np.zeros(N))
         profile = probability_profile(evolve(state, hadamard, 1))
         assert profile[4] == pytest.approx(0.5, abs=1e-15)  # site 5
         assert profile[6] == pytest.approx(0.5, abs=1e-15)  # site 7

@@ -4,7 +4,6 @@ import pytest
 from corrwalk import (
     CoinPhases,
     InvalidParameterError,
-    PhaseSequence,
     evolve,
     generate_coin_phases,
     initial_state_symmetric,
@@ -77,7 +76,7 @@ class TestInitialStates:
 
 
 def zero_phases(T, N):
-    return CoinPhases(theta=PhaseSequence(np.zeros(T)), phi=PhaseSequence(np.zeros(N)))
+    return CoinPhases(theta=np.zeros(T), phi=np.zeros(N))
 
 
 class TestStep:
@@ -121,7 +120,7 @@ class TestStep:
         n0 = N // 2
         phases = generate_coin_phases(20, N, 1.0, 1.0, seed=3)
         for t in range(1, 21):
-            theta_t = PhaseSequence(phases.theta.values[t - 1 : t])
+            theta_t = phases.theta[t - 1 : t]
             state = evolve(state, CoinPhases(theta=theta_t, phi=phases.phi), 1)
             profile = probability_profile(state)
             sites = np.arange(1, N + 1)
@@ -148,7 +147,7 @@ class TestEvolve:
         phases = generate_coin_phases(T, N, 0.7, 1.3, seed=5)
         expected = initial_state_symmetric(N)
         for t in range(1, T + 1):
-            expected = whole_lattice_step(expected, phases.theta.values[t - 1], phases.phi.values)
+            expected = whole_lattice_step(expected, phases.theta[t - 1], phases.phi)
         out = evolve(initial_state_symmetric(N), phases, T)
         np.testing.assert_allclose(out.up, expected.up, atol=1e-13)
         np.testing.assert_allclose(out.down, expected.down, atol=1e-13)
@@ -161,7 +160,7 @@ class TestEvolve:
         T = int(rng.integers(1, 17))
         theta = rng.uniform(0, 2 * np.pi, T)
         phi = rng.uniform(0, 2 * np.pi, N)
-        phases = CoinPhases(theta=PhaseSequence(theta), phi=PhaseSequence(phi))
+        phases = CoinPhases(theta=theta, phi=phi)
 
         state = initial_state_symmetric(N)
         vec = as_vector(state)
@@ -216,9 +215,7 @@ class TestEvolve:
 
 
 def random_phases(rng, T, N):
-    return CoinPhases(
-        theta=PhaseSequence(rng.uniform(0, 2 * np.pi, T)), phi=PhaseSequence(rng.uniform(0, 2 * np.pi, N))
-    )
+    return CoinPhases(theta=rng.uniform(0, 2 * np.pi, T), phi=rng.uniform(0, 2 * np.pi, N))
 
 
 class TestLightCone:
@@ -261,8 +258,8 @@ class TestLightCone:
         seen = {}
         evolve(state, phases, T, observer=lambda t, s: seen.setdefault(t, (s.up.copy(), s.down.copy())))
         for t in range(1, T + 1):
-            vec = dense_step_unitary(phases.theta.values[t - 1], phases.phi.values) @ vec
-            full = whole_lattice_step(full, phases.theta.values[t - 1], phases.phi.values)
+            vec = dense_step_unitary(phases.theta[t - 1], phases.phi) @ vec
+            full = whole_lattice_step(full, phases.theta[t - 1], phases.phi)
             up, down = seen[t]
             np.testing.assert_allclose(np.concatenate([up, down]), vec, atol=1e-12)
             # Stepping only the light cone changes no amplitude's bits.
