@@ -18,8 +18,6 @@ from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, io
 from .ensemble import (
     DEFAULT_UPDATE_CAP,
@@ -95,26 +93,17 @@ def _field(config: dict, name: str, kind, *, required: bool = False, default=Non
             raise ConfigError(f"field {name!r}: required but missing")
         return default
     value = config[name]
-    try:
-        if kind is int:
-            if isinstance(value, float) and not value.is_integer():
-                raise ValueError
-            return int(value)
-        if kind is float:
-            out = float(value)
-            if not np.isfinite(out):
-                raise ValueError
-            return out
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ValueError
-            return value
-        if kind is list:
-            if not isinstance(value, (list, tuple)):
-                raise ValueError
-            return list(value)
-    except (TypeError, ValueError):
-        pass
+    # JSON true and false are Python ints, but not numbers in a config.
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    # Finite, also for an integer too large for a float.
+    if kind is float and number and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind is bool and isinstance(value, bool):
+        return value
+    if kind is list and isinstance(value, (list, tuple)):
+        return list(value)
     raise ConfigError(f"field {name!r}: expected {kind.__name__}, got {value!r}")
 
 
@@ -431,9 +420,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file (or a previous manifest)")
     parser.add_argument("--preset", metavar="NAME", help="named preset; see 'corrwalk presets'")
     parser.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
-    parser.add_argument("--workers", type=int, metavar="INT", help="worker processes (default: serial)")
     parser.add_argument("--out", metavar="DIR", help="output directory (default: $QWALK_OUT/<name>)")
-    parser.add_argument("--force", action="store_true", help="recompute completed sweep cells")
+
+
+def _add_workers(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--workers", type=int, metavar="INT", help="worker processes (default: serial)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,10 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="disorder-averaged run(s): trajectories, snapshots, fits")
     _add_common(run)
+    _add_workers(run)
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser("phase-diagram", help="exponent map over an (alpha_t, beta_s) grid")
     _add_common(sweep)
+    _add_workers(sweep)
+    sweep.add_argument("--force", action="store_true", help="recompute completed sweep cells")
     sweep.set_defaults(func=_cmd_phase_diagram)
 
     presets = sub.add_parser("presets", help="list the bundled presets")

@@ -14,6 +14,7 @@ import os
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -48,6 +49,11 @@ DEFAULT_UPDATE_CAP = 1_000_000_000
 BATCH_SITES = 4096
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Parameters of one disorder-averaged run.
@@ -67,22 +73,24 @@ class EnsembleConfig:
     update_cap: int = DEFAULT_UPDATE_CAP
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, (int, np.integer)) or self.N < 2:
-            raise InvalidParameterError(f"N must be an integer >= 2, got {self.N}")
-        if not isinstance(self.T, (int, np.integer)) or self.T < 1:
-            raise InvalidParameterError(f"T must be a positive integer, got {self.T}")
+        if not _is_int(self.N) or self.N < 2:
+            raise InvalidParameterError(f"N must be an integer >= 2, got {self.N!r}")
+        if not _is_int(self.T) or self.T < 1:
+            raise InvalidParameterError(f"T must be a positive integer, got {self.T!r}")
         for name, value in (("alpha_t", self.alpha_t), ("beta_s", self.beta_s)):
             if not np.isfinite(value) or value < 0:
                 raise InvalidParameterError(f"{name} must be a finite non-negative real, got {value}")
-        if not isinstance(self.realizations, (int, np.integer)) or self.realizations < 1:
-            raise InvalidParameterError(f"realizations must be an integer >= 1, got {self.realizations}")
+        if not _is_int(self.realizations) or self.realizations < 1:
+            raise InvalidParameterError(f"realizations must be an integer >= 1, got {self.realizations!r}")
         _check_seed(self.master_seed)
         object.__setattr__(self, "snapshot_times", tuple(int(t) for t in self.snapshot_times))
         for t in self.snapshot_times:
             if not 0 <= t <= self.T:
                 raise InvalidParameterError(f"snapshot time {t} outside [0, {self.T}]")
-        if self.update_cap < 1:
-            raise InvalidParameterError(f"update_cap must be positive, got {self.update_cap}")
+        if not isinstance(self.normalize_variance, bool):
+            raise InvalidParameterError(f"normalize_variance must be a bool, got {self.normalize_variance!r}")
+        if not _is_int(self.update_cap) or self.update_cap < 1:
+            raise InvalidParameterError(f"update_cap must be a positive integer, got {self.update_cap!r}")
         updates = self.N * self.T
         if updates > self.update_cap:
             raise ResourceLimitError(
@@ -97,7 +105,6 @@ class EnsembleResult:
 
     config: EnsembleConfig
     stats: TrajectoryStats
-    realization_seeds: np.ndarray
     contacted_realizations: int
     elapsed_seconds: float
 
@@ -207,21 +214,6 @@ def _check_record_from(record_from: int, T: int) -> None:
         raise InvalidParameterError(f"record_from must be an integer in [0, {T}], got {record_from!r}")
 
 
-def _batch_task(args):
-    N, T, alpha_t, beta_s, seeds, snapshot_times, normalize_variance, record_from = args
-    stats = run_realization(
-        N, T, alpha_t, beta_s, seeds, snapshot_times, normalize_variance, record_from=record_from
-    )
-    return stats.dispersion, stats.mean_position, stats.boundary_contact_time, stats.snapshots
-
-
-def _rows(batches):
-    """One ``(sigma, mean, contact, snapshots)`` row per realization, in order."""
-    for sigma, mean, contacts, snapshots in batches:
-        for b, contact in enumerate(contacts):
-            yield sigma[b], mean[b], contact, {t: p[b] for t, p in (snapshots or {}).items()}
-
-
 def _batch_size(N: int, R: int, workers: int) -> int:
     """Realizations evolved together: at most ``BATCH_SITES`` sites, and at
     least two batches per worker so that a pool stays busy."""
@@ -253,55 +245,42 @@ def run_ensemble(
     seeds = [derive_seed(config.master_seed, r) for r in range(1, config.realizations + 1)]
     workers = max(1, workers or 1)
     B = _batch_size(config.N, config.realizations, workers)
-    tasks = [
-        (
-            config.N,
-            config.T,
-            config.alpha_t,
-            config.beta_s,
-            tuple(seeds[i : i + B]),
-            config.snapshot_times,
-            config.normalize_variance,
-            record_from,
-        )
-        for i in range(0, len(seeds), B)
-    ]
+    batches = [seeds[i : i + B] for i in range(0, len(seeds), B)]
+    # Looked up on the module here, so a wrapper installed on it runs too.
+    task = partial(
+        run_realization, config.N, config.T, config.alpha_t, config.beta_s,
+        snapshot_times=config.snapshot_times, normalize_variance=config.normalize_variance,
+        record_from=record_from,
+    )
 
     started = time.perf_counter()
     if workers == 1:
-        stats, contacted = _reduce(_rows(map(_batch_task, tasks)), config)
+        stats, contacted = _reduce(map(task, batches), config)
     else:
-        chunksize = max(1, len(tasks) // (workers * 4))
+        chunksize = max(1, len(batches) // (workers * 4))
         with Pool(processes=workers) as pool:
-            results = pool.imap(_batch_task, tasks, chunksize=chunksize)
-            stats, contacted = _reduce(_rows(results), config)
+            stats, contacted = _reduce(pool.imap(task, batches, chunksize=chunksize), config)
     elapsed = time.perf_counter() - started
-
-    return EnsembleResult(
-        config=config,
-        stats=stats,
-        realization_seeds=np.array(seeds, dtype=np.uint64),
-        contacted_realizations=contacted,
-        elapsed_seconds=elapsed,
-    )
+    return EnsembleResult(config, stats, contacted, elapsed)
 
 
-def _reduce(results, config: EnsembleConfig) -> tuple[TrajectoryStats, int]:
-    """Accumulate per-realization results in realization order."""
+def _reduce(batches, config: EnsembleConfig) -> tuple[TrajectoryStats, int]:
+    """Add the rows of each batch's ``TrajectoryStats`` in realization order."""
     sigma_sum = np.zeros(config.T + 1)
     mean_sum = np.zeros(config.T + 1)
     snap_sums = {t: np.zeros(config.N) for t in config.snapshot_times}
     contact_min: int | None = None
     contacted = 0
 
-    for sigma, mean, contact, snapshots in results:
-        sigma_sum += sigma
-        mean_sum += mean
-        if contact is not None:
-            contacted += 1
-            contact_min = contact if contact_min is None else min(contact_min, contact)
-        for t, profile in snapshots.items():
-            snap_sums[t] += profile
+    for batch in batches:
+        for b, contact in enumerate(batch.boundary_contact_time):
+            sigma_sum += batch.dispersion[b]
+            mean_sum += batch.mean_position[b]
+            if contact is not None:
+                contacted += 1
+                contact_min = contact if contact_min is None else min(contact_min, contact)
+            for t, profile in (batch.snapshots or {}).items():
+                snap_sums[t] += profile[b]
 
     R = config.realizations
     sigma_sum /= R
@@ -390,7 +369,6 @@ class SweepResult:
     gamma: np.ndarray
     stderr: np.ndarray
     regimes: list[list[RegimeLabel]]
-    sizes: tuple[int, ...]
     points: dict[tuple[int, int], list[tuple[int, float]]]
 
     def rows(self):
@@ -485,11 +463,10 @@ def phase_diagram_sweep(
         for i, alpha in enumerate(alphas)
         for j, beta in enumerate(betas)
     }
-    # Every cell's runs are validated before the first is computed; their
-    # windows are the same in every cell.
-    for cell_base in cells.values():
-        runs = size_configs(cell_base, ordered_sizes, window_len)
-    windows = [[cfg.N, window] for cfg, window in runs]
+    # Every cell's runs are validated before the first is computed.  A cell
+    # differs from ``base`` only in its exponents, checked as it was built
+    # above, and its seed, so its runs and windows are those of ``base``.
+    windows = [[cfg.N, window] for cfg, window in size_configs(base, ordered_sizes, window_len)]
 
     root = Path(out_dir) if out_dir is not None else None
     if root is not None:
@@ -538,6 +515,5 @@ def phase_diagram_sweep(
         gamma=gamma,
         stderr=stderr,
         regimes=regimes,
-        sizes=ordered_sizes,
         points=points,
     )

@@ -39,24 +39,15 @@ def _trace_preset(nu: float, seed: int, description: str) -> dict:
     }
 
 
-def _run_preset(alpha, beta, *, scale, seed, description, sizes=None, N=None, T=None,
-                t_rule=None, snapshots=None) -> dict:
+def _run_preset(alpha, beta, *, scale, seed, description, **fields) -> dict:
+    """A ``run`` preset; ``fields`` are further config fields, such as ``N``."""
     config = {
         "alpha_t": alpha,
         "beta_s": beta,
         "realizations": 200 if scale == "desk" else 5000,
         "seed": seed,
+        **fields,
     }
-    if sizes is not None:
-        config["sizes"] = list(sizes)
-    if N is not None:
-        config["N"] = N
-    if T is not None:
-        config["T"] = T
-    if t_rule is not None:
-        config["t_rule"] = t_rule
-    if snapshots is not None:
-        config["snapshot_times"] = list(snapshots)
     return {"command": "run", "description": description, "config": config}
 
 
@@ -91,7 +82,7 @@ def _build() -> dict[str, dict]:
                 seed=201,
                 N=1000,
                 T=500,
-                snapshots=(50, 200, 500),
+                snapshot_times=[50, 200, 500],
                 description=(
                     f"probability snapshots at t=50,200,500: N=1000, T=500, "
                     f"alpha_t={alpha}, beta_s={beta}"

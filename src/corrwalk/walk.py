@@ -47,15 +47,6 @@ class WalkerState:
         """Sites held, which one step updates: ``N``, or ``B * N`` for a batch."""
         return self.up.size
 
-    def norm(self):
-        """Euclidean norm: a float for one walker, one value per row for a batch."""
-        sq = self.up.real**2 + self.up.imag**2 + self.down.real**2 + self.down.imag**2
-        norms = np.sqrt(sq.sum(axis=-1))
-        return float(norms) if norms.ndim == 0 else norms
-
-    def copy(self) -> "WalkerState":
-        return WalkerState(self.up.copy(), self.down.copy(), self.time)
-
 
 def initial_state_symmetric(N: int) -> WalkerState:
     """Walker at site ``N // 2`` with equal-weight internal components.
@@ -158,7 +149,7 @@ def evolve(
     exp_phi_scaled = np.exp(1j * np.stack([row.phi for row in rows]).reshape(shape))
     exp_phi_scaled *= INV_SQRT2
     if T == 0:
-        return state.copy()
+        return WalkerState(up=state.up.copy(), down=state.down.copy(), time=state.time)
     theta = np.stack([row.theta[:T] for row in rows], axis=-1)
     exp_theta = np.exp(1j * theta).reshape(T, *shape[:-1], 1)
 

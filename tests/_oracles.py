@@ -43,6 +43,13 @@ def initial_state_generic(N, amplitudes):
     return WalkerState(up=up, down=down, time=0), factor
 
 
+def norm(state):
+    """Euclidean norm: a float for one walker, one value per row for a batch."""
+    sq = state.up.real**2 + state.up.imag**2 + state.down.real**2 + state.down.imag**2
+    norms = np.sqrt(sq.sum(axis=-1))
+    return float(norms) if norms.ndim == 0 else norms
+
+
 def whole_lattice_step(state, theta_t, phi):
     """One step of one walker on the whole periodic lattice.
 

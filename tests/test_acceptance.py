@@ -10,7 +10,7 @@ import functools
 import numpy as np
 import pytest
 
-from _oracles import as_vector, dense_step_unitary, periodogram_slope, windowed_peaks
+from _oracles import as_vector, dense_step_unitary, norm, periodogram_slope, windowed_peaks
 from corrwalk import (
     CoinPhases,
     EnsembleConfig,
@@ -77,7 +77,7 @@ def test_criterion_01_unitarity():
         initial_state_symmetric(N),
         phases,
         T,
-        observer=lambda t, s: drift.append(abs(s.norm() - 1.0)),
+        observer=lambda t, s: drift.append(abs(norm(s) - 1.0)),
     )
     max_drift = max(drift)
 

@@ -185,6 +185,13 @@ class TestRun:
             ("fit_window", [10]),
             ("fit_window", [20, 20]),
             ("fit_window", [-1, 20]),
+            # JSON booleans and strings are not numbers.
+            ("realizations", True),
+            ("seed", "12"),
+            ("alpha_t", True),
+            ("beta_s", "0.5"),
+            ("beta_s", 10**400),
+            ("snapshot_times", [True]),
         ],
     )
     def test_malformed_time_list_exit_2_before_compute(self, tmp_path, capsys, field, value):
@@ -304,6 +311,8 @@ class TestPhaseDiagram:
             ("grid_beta", ["x"], "grid_beta"),
             ("sizes", [32, 64, 64, 128], "distinct"),
             ("sigma_windw", 5, "sigma_windw"),
+            ("grid_alpha", [True], "grid_alpha"),
+            ("sizes", [32, "64", 128], "sizes"),
         ],
     )
     def test_bad_grid_or_sizes_exit_2_before_compute(self, tmp_path, capsys, field, value, message):
@@ -336,6 +345,20 @@ class TestPhaseDiagram:
         err = capsys.readouterr().err
         assert str(cell) in err and "--force" in err
         assert main(["phase-diagram", "--config", str(cfg), "--out", str(out), "--force"]) == 0
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [["trace", "--nu", "1", "--length", "16", "--workers", "2"], ["run", "--force"], ["trace", "--force"]],
+    )
+    def test_flag_of_another_command_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(run_config(tmp_path)), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPresets:

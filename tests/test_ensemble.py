@@ -45,10 +45,25 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError):
             small_config(realizations=0)
 
-    @pytest.mark.parametrize("realizations", [2.5, "3", None])
+    @pytest.mark.parametrize("realizations", [2.5, "3", None, True])
     def test_rejects_non_integer_realizations(self, realizations):
         with pytest.raises(InvalidParameterError, match="realizations"):
             small_config(realizations=realizations)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("update_cap", 100.5),
+            ("update_cap", True),
+            ("update_cap", "100"),
+            ("normalize_variance", "no"),
+            ("normalize_variance", 1),
+            ("normalize_variance", None),
+        ],
+    )
+    def test_rejects_mistyped_field(self, field, value):
+        with pytest.raises(InvalidParameterError, match=field):
+            small_config(**{field: value})
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(InvalidParameterError):
@@ -62,21 +77,38 @@ class TestConfigValidation:
 
 
 class TestRunEnsemble:
-    def test_single_realization_matches_direct_run(self):
-        config = small_config(realizations=1, snapshot_times=(16, 32))
-        result = run_ensemble(config)
-        direct = run_realization(
-            config.N,
-            config.T,
-            config.alpha_t,
-            config.beta_s,
-            derive_seed(config.master_seed, 1),
-            snapshot_times=config.snapshot_times,
-        )
-        np.testing.assert_array_equal(result.stats.dispersion, direct.dispersion)
-        np.testing.assert_array_equal(result.stats.mean_position, direct.mean_position)
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("R", [1, 7])
+    def test_single_realization_matches_direct_run(self, R, workers):
+        # R = 7 runs in uneven batches (4 + 3 serial, 2 + 2 + 2 + 1 on three
+        # workers), and T > N/2 takes the walkers to the chain ends.
+        config = small_config(N=32, T=24, alpha_t=4.0, beta_s=4.0, realizations=R, snapshot_times=(12, 24))
+        result = run_ensemble(config, workers=workers)
+        sigma, mean = np.zeros(config.T + 1), np.zeros(config.T + 1)
+        snapshots = {t: np.zeros(config.N) for t in config.snapshot_times}
+        contacts = []
+        for r in range(1, R + 1):
+            direct = run_realization(
+                config.N,
+                config.T,
+                config.alpha_t,
+                config.beta_s,
+                derive_seed(config.master_seed, r),
+                snapshot_times=config.snapshot_times,
+            )
+            sigma += direct.dispersion
+            mean += direct.mean_position
+            for t in config.snapshot_times:
+                snapshots[t] += direct.snapshots[t]
+            if direct.boundary_contact_time is not None:
+                contacts.append(direct.boundary_contact_time)
+        np.testing.assert_array_equal(result.stats.dispersion, sigma / R)
+        np.testing.assert_array_equal(result.stats.mean_position, mean / R)
         for t in config.snapshot_times:
-            np.testing.assert_array_equal(result.stats.snapshots[t], direct.snapshots[t])
+            np.testing.assert_array_equal(result.stats.snapshots[t], snapshots[t] / R)
+        assert contacts
+        assert result.contacted_realizations == len(contacts)
+        assert result.stats.boundary_contact_time == min(contacts)
 
     def test_schedule_independence(self):
         config = small_config(realizations=6, snapshot_times=(8,))
@@ -101,9 +133,9 @@ class TestRunEnsemble:
         assert np.all(result.stats.dispersion >= 0)
 
     def test_seed_disjointness(self):
-        result = run_ensemble(small_config(realizations=64))
-        seeds = result.realization_seeds
-        assert len(np.unique(seeds)) == seeds.size
+        config = small_config(realizations=64)
+        seeds = [derive_seed(config.master_seed, r) for r in range(1, config.realizations + 1)]
+        assert len(set(seeds)) == len(seeds)
 
     def test_resource_cap_refusal(self):
         with pytest.raises(ResourceLimitError, match="update_cap"):

@@ -11,7 +11,7 @@ from corrwalk import (
 )
 from corrwalk.walk import WalkerState, light_cone, support
 
-from _oracles import as_vector, dense_step_unitary, initial_state_generic, whole_lattice_step
+from _oracles import as_vector, dense_step_unitary, initial_state_generic, norm, whole_lattice_step
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -28,7 +28,7 @@ class TestInitialStates:
 
     def test_smallest_lattice(self):
         state = initial_state_symmetric(2)
-        assert state.norm() == pytest.approx(1.0, abs=1e-15)
+        assert norm(state) == pytest.approx(1.0, abs=1e-15)
         assert abs(state.up[0]) > 0  # site 1 = 2 // 2
 
     def test_delta_initial_condition(self):
@@ -45,7 +45,7 @@ class TestInitialStates:
     def test_generic_spin_up_delta(self):
         state, factor = initial_state_generic(8, [(3, 1.0, 0.0)])
         assert factor == pytest.approx(1.0)
-        assert state.norm() == pytest.approx(1.0, abs=1e-15)
+        assert norm(state) == pytest.approx(1.0, abs=1e-15)
         assert state.up[2] == pytest.approx(1.0)
 
     def test_generic_matches_symmetric(self):
@@ -60,7 +60,7 @@ class TestInitialStates:
         state, factor = initial_state_generic(8, [(3, 2.0, 0.0)])
         assert factor == pytest.approx(0.5)
         assert state.up[2] == pytest.approx(1.0)
-        assert state.norm() == pytest.approx(1.0, abs=1e-15)
+        assert norm(state) == pytest.approx(1.0, abs=1e-15)
 
     def test_generic_rejects_empty_and_zero_norm(self):
         with pytest.raises(InvalidParameterError):
@@ -100,7 +100,7 @@ class TestStep:
         )
         for _ in range(10):
             state = evolve(state, random_phases(rng, 1, N), 1)
-            assert state.norm() == pytest.approx(1.0, abs=1e-12)
+            assert norm(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_homogeneous_profile_symmetric(self):
         N = 128
@@ -185,7 +185,7 @@ class TestEvolve:
 
         def observer(t, state):
             seen.append(t)
-            norms.append(state.norm())
+            norms.append(norm(state))
 
         evolve(initial_state_symmetric(N), zero_phases(T, N), T, observer=observer)
         assert seen == list(range(1, T + 1))
@@ -199,7 +199,7 @@ class TestEvolve:
             initial_state_symmetric(N),
             phases,
             T,
-            observer=lambda t, s: drift.append(abs(s.norm() - 1.0)),
+            observer=lambda t, s: drift.append(abs(norm(s) - 1.0)),
         )
         assert max(drift) < 1e-9
 
@@ -278,7 +278,7 @@ class TestLightCone:
             alone = evolve(start, phases[b], T)
             np.testing.assert_array_equal(out.up[b], alone.up)
             np.testing.assert_array_equal(out.down[b], alone.down)
-        np.testing.assert_allclose(out.norm(), np.ones(B), atol=1e-12)
+        np.testing.assert_allclose(norm(out), np.ones(B), atol=1e-12)
 
     def test_batch_needs_one_phase_set_per_row(self):
         N = 10
