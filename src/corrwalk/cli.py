@@ -182,7 +182,6 @@ def _out_dir(args, command: str) -> Path:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     io.write_json(
         out_dir / "manifest.json",
         {
@@ -467,10 +466,6 @@ def main(argv=None) -> int:
     except (InvalidParameterError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        target = getattr(exc, "filename", None)
-        print(f"error: {exc}" + (f" (path: {target})" if target else ""), file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-import os
+import numbers
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import io
 from .errors import InvalidParameterError, ResourceLimitError
 from .noise import _check_seed, derive_seed, generate_coin_phases
 from .observables import (
@@ -54,6 +55,13 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _exponent(name: str, value) -> float:
+    """``value`` as a float if it is a finite non-negative real, not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value) or value < 0:
+        raise InvalidParameterError(f"{name} must be a finite non-negative real, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Parameters of one disorder-averaged run.
@@ -77,16 +85,16 @@ class EnsembleConfig:
             raise InvalidParameterError(f"N must be an integer >= 2, got {self.N!r}")
         if not _is_int(self.T) or self.T < 1:
             raise InvalidParameterError(f"T must be a positive integer, got {self.T!r}")
-        for name, value in (("alpha_t", self.alpha_t), ("beta_s", self.beta_s)):
-            if not np.isfinite(value) or value < 0:
-                raise InvalidParameterError(f"{name} must be a finite non-negative real, got {value}")
+        _exponent("alpha_t", self.alpha_t)
+        _exponent("beta_s", self.beta_s)
         if not _is_int(self.realizations) or self.realizations < 1:
             raise InvalidParameterError(f"realizations must be an integer >= 1, got {self.realizations!r}")
         _check_seed(self.master_seed)
-        object.__setattr__(self, "snapshot_times", tuple(int(t) for t in self.snapshot_times))
-        for t in self.snapshot_times:
-            if not 0 <= t <= self.T:
-                raise InvalidParameterError(f"snapshot time {t} outside [0, {self.T}]")
+        times = tuple(self.snapshot_times)
+        for t in times:
+            if not _is_int(t) or not 0 <= t <= self.T:
+                raise InvalidParameterError(f"snapshot_times must hold integers in [0, {self.T}], got {t!r}")
+        object.__setattr__(self, "snapshot_times", tuple(int(t) for t in times))
         if not isinstance(self.normalize_variance, bool):
             raise InvalidParameterError(f"normalize_variance must be a bool, got {self.normalize_variance!r}")
         if not _is_int(self.update_cap) or self.update_cap < 1:
@@ -152,8 +160,6 @@ class _StatsRecorder:
             np.square(state.down[:, cone].view(np.float64), out=sq[:, 1])
             self.mean[:, t], self.sigma[:, t] = centred_moments(sq, *self.offsets[:, cols], self.centre)
 
-    __call__ = record
-
 
 def run_realization(
     N: int,
@@ -197,7 +203,7 @@ def run_realization(
     )
     recorder = _StatsRecorder(state, T, snapshot_times, record_from)
     recorder.record(0, state)
-    evolve(state, phases, T, observer=recorder)
+    evolve(state, phases, T, observer=recorder.record)
     contact = tuple(int(c) if c >= 0 else None for c in recorder.contact)
     row = 0 if single else slice(None)
     return TrajectoryStats(
@@ -304,12 +310,12 @@ def size_configs(
     seed ``derive_seed(base.master_seed, "size", N)`` without snapshots and
     averages its final ``window`` steps (``scaled_windows``); every other
     field comes from ``base``.  Raises ``InvalidParameterError`` on a
-    repeated size, an invalid config or a ``window_len`` longer than the
-    shortest run, and ``ResourceLimitError`` on a size over the update cap.
+    repeated or non-integer size, an invalid config or a ``window_len``
+    longer than the shortest run, and ``ResourceLimitError`` on a size over
+    the update cap.
     """
-    sizes = [int(n) for n in sizes]
-    if len(set(sizes)) < len(sizes):
-        raise InvalidParameterError(f"lattice sizes must be distinct, got {sizes}")
+    if not all(_is_int(n) for n in sizes) or len(set(sizes)) < len(sizes):
+        raise InvalidParameterError(f"lattice sizes must be distinct integers, got {sizes}")
     configs = [
         replace(
             base,
@@ -325,10 +331,10 @@ def size_configs(
 
 def _scan_sizes(sizes) -> tuple[int, ...]:
     """The lattice sizes of a scan in increasing order; a fit needs at least 3."""
-    ordered = tuple(sorted(int(n) for n in sizes))
-    if len(ordered) < 3:
-        raise InvalidParameterError(f"need at least 3 sizes, got {len(ordered)}")
-    return ordered
+    sizes = list(sizes)
+    if len(sizes) < 3 or not all(_is_int(n) for n in sizes):
+        raise InvalidParameterError(f"need at least 3 integer lattice sizes, got {sizes}")
+    return tuple(sorted(int(n) for n in sizes))
 
 
 def size_scan(
@@ -378,15 +384,10 @@ class SweepResult:
                 yield a, b, float(self.gamma[i, j]), float(self.stderr[i, j]), self.regimes[i][j]
 
 
-def _cell_path(out_dir: Path, i: int, j: int) -> Path:
-    return out_dir / "cells" / f"cell_{i:03d}_{j:03d}.json"
-
-
-def _load_cell(path: Path, expected: dict) -> dict:
+def _load_cell(path: Path, fingerprint: dict) -> dict:
     """Read a finished cell, refusing a damaged one or one computed with
-    other settings: ``expected`` holds this sweep's ``alpha``, ``beta``,
-    ``windows``, ``master_seed``, ``realizations`` and
-    ``normalize_variance``, and ``sizes`` must match the cell's points."""
+    other settings: every key of ``fingerprint`` must hold the same value
+    in the cell, whose ``sizes`` are the sizes of its points."""
     redo = "recompute it with --force (force=True) or use a fresh output directory"
     try:
         with open(path, encoding="utf-8") as fh:
@@ -395,35 +396,13 @@ def _load_cell(path: Path, expected: dict) -> dict:
         raise InvalidParameterError(f"{path} is not a readable cell file ({exc}); {redo}")
     if not isinstance(cell, dict) or not {"gamma", "stderr", "regime", "points"} <= cell.keys():
         raise InvalidParameterError(f"{path} is not a complete cell file; {redo}")
-    for key in ("alpha", "beta", "master_seed", "realizations", "normalize_variance"):
-        if cell.get(key) != expected[key]:
+    found = {**cell, "sizes": [n for n, _ in cell["points"]]}
+    for key, expected in fingerprint.items():
+        if found.get(key) != expected:
             raise InvalidParameterError(
-                f"{path} was computed with {key} = {cell.get(key)!r}, not {expected[key]!r}; {redo}"
+                f"{path} was computed with {key} = {found.get(key)!r}, not {expected!r}; {redo}"
             )
-    cell_sizes = [int(n) for n, _ in cell["points"]]
-    if cell_sizes != expected["sizes"]:
-        raise InvalidParameterError(
-            f"{path} was computed for sizes {cell_sizes}, not {expected['sizes']}; {redo}"
-        )
-    if cell.get("windows") != expected["windows"]:
-        raise InvalidParameterError(
-            f"{path} records averaging windows {cell.get('windows')}, not {expected['windows']}; "
-            f"its gamma came from another long-time estimator: {redo}"
-        )
     return cell
-
-
-def _write_cell(path: Path, cell: dict) -> None:
-    """Write a cell file whole or not at all: an interrupted write leaves a
-    stray temporary file, never a truncated cell for a later resume."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(cell, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def phase_diagram_sweep(
@@ -451,8 +430,8 @@ def phase_diagram_sweep(
     mixed into the grid.  Every cell's configuration is validated before
     any cell is computed or written.
     """
-    alphas = tuple(float(a) for a in grid_alpha)
-    betas = tuple(float(b) for b in grid_beta)
+    alphas = tuple(_exponent("alpha_t", a) for a in grid_alpha)
+    betas = tuple(_exponent("beta_s", b) for b in grid_beta)
     if not alphas or not betas:
         raise InvalidParameterError("alpha and beta grids must be non-empty")
     ordered_sizes = _scan_sizes(sizes)
@@ -464,13 +443,9 @@ def phase_diagram_sweep(
         for j, beta in enumerate(betas)
     }
     # Every cell's runs are validated before the first is computed.  A cell
-    # differs from ``base`` only in its exponents, checked as it was built
-    # above, and its seed, so its runs and windows are those of ``base``.
+    # differs from ``base`` only in its exponents, checked above, and its
+    # seed, so its runs and windows are those of ``base``.
     windows = [[cfg.N, window] for cfg, window in size_configs(base, ordered_sizes, window_len)]
-
-    root = Path(out_dir) if out_dir is not None else None
-    if root is not None:
-        (root / "cells").mkdir(parents=True, exist_ok=True)
 
     gamma = np.empty((len(alphas), len(betas)))
     stderr = np.empty_like(gamma)
@@ -479,17 +454,17 @@ def phase_diagram_sweep(
 
     for (i, j), cell_base in cells.items():
         alpha, beta = cell_base.alpha_t, cell_base.beta_s
-        cell_file = _cell_path(root, i, j) if root is not None else None
+        cell_file = Path(out_dir, "cells", f"cell_{i:03d}_{j:03d}.json") if out_dir is not None else None
         settings = {
             "alpha": alpha,
             "beta": beta,
-            "windows": windows,
             "master_seed": cell_base.master_seed,
             "realizations": base.realizations,
             "normalize_variance": base.normalize_variance,
+            "windows": windows,
         }
         if cell_file is not None and cell_file.exists() and not force:
-            cell = _load_cell(cell_file, {**settings, "sizes": list(ordered_sizes)})
+            cell = _load_cell(cell_file, {"sizes": list(ordered_sizes), **settings})
             log.info("cell (alpha=%g, beta=%g): reusing %s", alpha, beta, cell_file)
         else:
             cell_points = size_scan(cell_base, ordered_sizes, window_len=window_len, workers=workers)
@@ -502,7 +477,7 @@ def phase_diagram_sweep(
                 "points": [[n, s] for n, s in cell_points],
             }
             if cell_file is not None:
-                _write_cell(cell_file, cell)
+                io.write_json(cell_file, cell)
             log.info("cell (alpha=%g, beta=%g): gamma=%.4f (%s)", alpha, beta, g, cell["regime"])
         gamma[i, j] = cell["gamma"]
         stderr[i, j] = cell["stderr"]

@@ -2,12 +2,14 @@
 
 All CSV files carry a header row, LF line endings, UTF-8 encoding, and
 full round-trip decimal precision for floats, so identical data always
-produces identical bytes.
+produces identical bytes.  Every file is written whole or not at all.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 from enum import Enum
 from pathlib import Path
 
@@ -27,37 +29,31 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> Path:
-    """Write rows to ``path`` as CSV with the given header."""
+def _write_atomic(path, chunks) -> Path:
+    """Stream text ``chunks`` into a temporary file beside ``path``, then
+    rename it to ``path``; on any error the temporary file is removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
-def _json_default(obj):
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
+def write_csv(path, header, rows) -> Path:
+    """Write rows to ``path`` as CSV with the given header."""
+    lines = (",".join(format_value(v) for v in row) + "\n" for row in rows)
+    return _write_atomic(path, itertools.chain([",".join(header) + "\n"], lines))
 
 
 def write_json(path, payload) -> Path:
     """Write a JSON document with sorted keys and a trailing newline."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-    return path
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    return _write_atomic(path, itertools.chain(chunks, ["\n"]))
 
 
 def write_trajectory_csv(path, stats) -> Path:

@@ -148,8 +148,6 @@ def evolve(
             raise InvalidParameterError(f"phi has length {len(row.phi)}, lattice has {N} sites")
     exp_phi_scaled = np.exp(1j * np.stack([row.phi for row in rows]).reshape(shape))
     exp_phi_scaled *= INV_SQRT2
-    if T == 0:
-        return WalkerState(up=state.up.copy(), down=state.down.copy(), time=state.time)
     theta = np.stack([row.theta[:T] for row in rows], axis=-1)
     exp_theta = np.exp(1j * theta).reshape(T, *shape[:-1], 1)
 

@@ -59,6 +59,12 @@ class TestConfigValidation:
             ("normalize_variance", "no"),
             ("normalize_variance", 1),
             ("normalize_variance", None),
+            ("alpha_t", True),
+            ("alpha_t", "0.5"),
+            ("beta_s", False),
+            ("beta_s", None),
+            ("snapshot_times", (2.7,)),
+            ("snapshot_times", (True,)),
         ],
     )
     def test_rejects_mistyped_field(self, field, value):
@@ -364,6 +370,14 @@ class TestSizeScan:
         with pytest.raises(InvalidParameterError, match="distinct"):
             phase_diagram_sweep([0.0], [0.0], small_config(), sizes=(32, 64, 64), window_len=8)
 
+    @pytest.mark.parametrize("sizes", [[16.9, 32, 64], [True, 32, 64], [16, "32", 64]])
+    def test_rejects_non_integer_sizes(self, sizes):
+        base = EnsembleConfig(N=16, T=8, alpha_t=0, beta_s=0, realizations=1)
+        with pytest.raises(InvalidParameterError, match="integer"):
+            size_scan(base, sizes, window_len=2)
+        with pytest.raises(InvalidParameterError, match="integer"):
+            size_configs(base, sizes, 2)
+
     def test_window_scales_with_horizon(self):
         base = small_config()
         points = size_scan(base, sizes=(32, 64, 128), window_len=8)
@@ -390,9 +404,14 @@ class TestPhaseDiagramSweep:
         assert (tmp_path / "cells" / "cell_000_000.json").exists()
 
     def test_bad_cell_rejected_before_any_cell_is_written(self, tmp_path):
-        with pytest.raises(InvalidParameterError, match="alpha_t"):
-            phase_diagram_sweep([0.0, -1.0], [0.0], small_config(), [16, 32, 64], window_len=4, out_dir=tmp_path)
-        assert not list(tmp_path.rglob("*.json"))
+        for grid_alpha, grid_beta, field in [
+            ([0.0, -1.0], [0.0], "alpha_t"),
+            ([0.0, "0.5"], [0.0], "alpha_t"),
+            ([0.0], [0.0, True], "beta_s"),
+        ]:
+            with pytest.raises(InvalidParameterError, match=field):
+                phase_diagram_sweep(grid_alpha, grid_beta, small_config(), [16, 32, 64], window_len=4, out_dir=tmp_path)
+            assert not list(tmp_path.rglob("*.json"))
 
     def test_resume_skips_completed_cells(self, tmp_path):
         kwargs = dict(

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from corrwalk import RegimeLabel
-from corrwalk.io import format_value, write_csv, write_phase_csv
+from corrwalk.io import format_value, write_csv, write_json, write_phase_csv
 
 
 def test_format_value_round_trips_floats():
@@ -26,3 +27,30 @@ def test_write_csv_lf_and_header(tmp_path):
 def test_write_phase_csv_one_based_index(tmp_path):
     path = write_phase_csv(tmp_path / "t.csv", np.array([0.5, 1.5]), value_label="V")
     assert path.read_text() == "j,V\n1,0.5\n2,1.5\n"
+
+
+def _rows_failing_after_one():
+    yield (1, 0.5)
+    raise RuntimeError("rows ran out")
+
+
+@pytest.mark.parametrize(
+    "write, error",
+    [
+        (lambda path: write_csv(path, ("a", "b"), _rows_failing_after_one()), RuntimeError),
+        (lambda path: write_json(path, {"a": 1, "b": object()}), TypeError),
+    ],
+    ids=["csv_rows_raise", "json_unserializable"],
+)
+def test_failed_write_keeps_previous_file(tmp_path, write, error):
+    path = tmp_path / "out"
+    path.write_bytes(b"previous\n")
+    with pytest.raises(error):
+        write(path)
+    assert path.read_bytes() == b"previous\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_write_json_format(tmp_path):
+    path = write_json(tmp_path / "sub" / "x.json", {"b": [1, 0.5], "a": None})
+    assert path.read_bytes() == b'{\n  "a": null,\n  "b": [\n    1,\n    0.5\n  ]\n}\n'
