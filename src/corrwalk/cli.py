@@ -422,8 +422,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="DIR", help="output directory (default: $QWALK_OUT/<name>)")
 
 
+def _worker_count(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_workers(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, metavar="INT", help="worker processes (default: serial)")
+    parser.add_argument("--workers", type=_worker_count, metavar="INT", help="worker processes (default: serial)")
 
 
 def build_parser() -> argparse.ArgumentParser:

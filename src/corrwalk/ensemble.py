@@ -13,8 +13,10 @@ import logging
 import numbers
 import time
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain, islice
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -55,9 +57,14 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a ``bool``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _exponent(name: str, value) -> float:
     """``value`` as a float if it is a finite non-negative real, not a ``bool``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value) or value < 0:
+    if not _is_real(value) or not np.isfinite(value) or value < 0:
         raise InvalidParameterError(f"{name} must be a finite non-negative real, got {value!r}")
     return float(value)
 
@@ -226,6 +233,59 @@ def _batch_size(N: int, R: int, workers: int) -> int:
     return max(1, min(BATCH_SITES // N, -(-R // (2 * workers))))
 
 
+def _check_workers(workers) -> int:
+    """The worker count: 1 for ``None``, else an integer >= 1 that is not a ``bool``."""
+    if workers is None:
+        return 1
+    if not _is_int(workers) or workers < 1:
+        raise InvalidParameterError(f"workers must be None or an integer >= 1, got {workers!r}")
+    return int(workers)
+
+
+def _tasks(config: EnsembleConfig, record_from: int, workers: int) -> list[tuple]:
+    """One ensemble's batches as stream tasks ``(run, master_seed, first, stop)``:
+    ``run`` evolves realizations ``first .. stop - 1`` (1-based) together."""
+    R = config.realizations
+    B = _batch_size(config.N, R, workers)
+    # Looked up on the module here, so a wrapper installed on it runs too.
+    run = partial(
+        run_realization, config.N, config.T, config.alpha_t, config.beta_s,
+        snapshot_times=config.snapshot_times, normalize_variance=config.normalize_variance,
+        record_from=record_from,
+    )
+    return [(run, config.master_seed, first, min(first + B, R + 1)) for first in range(1, R + 1, B)]
+
+
+def _run_batch(task) -> TrajectoryStats:
+    """Evolve one task's batch; its realization seeds are derived where it runs."""
+    run, master_seed, first, stop = task
+    return run([derive_seed(master_seed, r) for r in range(first, stop)])
+
+
+@contextmanager
+def _ensembles(jobs, workers: int):
+    """Each ``(config, record_from)`` job's ``(stats, contacted)``, in job order.
+
+    Every batch of every job goes through one ordered task stream: serial
+    ``map`` for one worker or no job, else the ``imap`` of one pool, which
+    lives as long as the ``with`` block and is shut down when it ends, also
+    on an error.  Tasks are sent one at a time, so that few results that
+    finish ahead of their turn wait in the parent.  ``_reduce`` takes each
+    job's batches in realization order, so the output does not depend on
+    ``workers``.
+    """
+    tasks = [_tasks(cfg, record_from, workers) for cfg, record_from in jobs]
+
+    def reduced(results):
+        return (_reduce(islice(results, len(batches)), cfg) for (cfg, _), batches in zip(jobs, tasks))
+
+    if workers == 1 or not jobs:
+        yield reduced(map(_run_batch, chain.from_iterable(tasks)))
+    else:
+        with Pool(processes=workers) as pool:
+            yield reduced(pool.imap(_run_batch, chain.from_iterable(tasks), chunksize=1))
+
+
 def run_ensemble(
     config: EnsembleConfig, workers: int | None = None, *, record_from: int = 0
 ) -> EnsembleResult:
@@ -245,27 +305,14 @@ def run_ensemble(
     Raises
     ------
     InvalidParameterError
-        If ``record_from`` lies outside ``[0, T]``.
+        If ``record_from`` lies outside ``[0, T]`` or ``workers`` is neither
+        ``None`` nor an integer >= 1.
     """
     _check_record_from(record_from, config.T)
-    seeds = [derive_seed(config.master_seed, r) for r in range(1, config.realizations + 1)]
-    workers = max(1, workers or 1)
-    B = _batch_size(config.N, config.realizations, workers)
-    batches = [seeds[i : i + B] for i in range(0, len(seeds), B)]
-    # Looked up on the module here, so a wrapper installed on it runs too.
-    task = partial(
-        run_realization, config.N, config.T, config.alpha_t, config.beta_s,
-        snapshot_times=config.snapshot_times, normalize_variance=config.normalize_variance,
-        record_from=record_from,
-    )
-
+    workers = _check_workers(workers)
     started = time.perf_counter()
-    if workers == 1:
-        stats, contacted = _reduce(map(task, batches), config)
-    else:
-        chunksize = max(1, len(batches) // (workers * 4))
-        with Pool(processes=workers) as pool:
-            stats, contacted = _reduce(pool.imap(task, batches, chunksize=chunksize), config)
+    with _ensembles([(config, record_from)], workers) as results:
+        stats, contacted = next(results)
     elapsed = time.perf_counter() - started
     return EnsembleResult(config, stats, contacted, elapsed)
 
@@ -356,12 +403,26 @@ def size_scan(
     Raises
     ------
     InvalidParameterError
-        If fewer than 3 sizes are given, or as ``size_configs`` does.
+        If fewer than 3 sizes are given, ``workers`` is neither ``None`` nor
+        an integer >= 1, or as ``size_configs`` does.
     """
+    workers = _check_workers(workers)
+    configs = size_configs(base, _scan_sizes(sizes), window_len)
+    with _ensembles(_windowed(configs), workers) as results:
+        return _scan_points(configs, results)
+
+
+def _windowed(configs) -> list[tuple[EnsembleConfig, int]]:
+    """``(config, record_from)`` jobs that record only each size's window."""
+    return [(cfg, cfg.T + 1 - window) for cfg, window in configs]
+
+
+def _scan_points(configs, results) -> list[tuple[int, float]]:
+    """``(N, sigma_bar)`` of each ``(config, window)``, reduced from the next
+    entries of ``results``."""
     points = []
-    for cfg, window in size_configs(base, _scan_sizes(sizes), window_len):
-        result = run_ensemble(cfg, workers=workers, record_from=cfg.T + 1 - window)
-        points.append((cfg.N, longtime_avg_dispersion(result.stats, window)))
+    for (cfg, window), (stats, _) in zip(configs, results):
+        points.append((cfg.N, longtime_avg_dispersion(stats, window)))
         log.info("size scan N=%d: sigma_bar=%.6g (last %d steps)", cfg.N, points[-1][1], window)
     return points
 
@@ -384,18 +445,37 @@ class SweepResult:
                 yield a, b, float(self.gamma[i, j]), float(self.stderr[i, j]), self.regimes[i][j]
 
 
+_REGIMES = [label.value for label in RegimeLabel]
+
+# What each result field of a cell file must hold.
+_CELL_FIELDS = {
+    "gamma": ("a number", _is_real),
+    "stderr": ("a number", _is_real),
+    "regime": ("one of " + ", ".join(_REGIMES), lambda v: v in _REGIMES),
+    "points": (
+        "a list of [N, sigma_bar] pairs",
+        lambda v: isinstance(v, list)
+        and all(isinstance(p, list) and len(p) == 2 and _is_int(p[0]) and _is_real(p[1]) for p in v),
+    ),
+}
+
+
 def _load_cell(path: Path, fingerprint: dict) -> dict:
     """Read a finished cell, refusing a damaged one or one computed with
-    other settings: every key of ``fingerprint`` must hold the same value
-    in the cell, whose ``sizes`` are the sizes of its points."""
+    other settings: each result field must hold a value of its kind, and
+    every key of ``fingerprint`` the same value in the cell, whose
+    ``sizes`` are the sizes of its points."""
     redo = "recompute it with --force (force=True) or use a fresh output directory"
     try:
         with open(path, encoding="utf-8") as fh:
             cell = json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidParameterError(f"{path} is not a readable cell file ({exc}); {redo}")
-    if not isinstance(cell, dict) or not {"gamma", "stderr", "regime", "points"} <= cell.keys():
+    if not isinstance(cell, dict) or not _CELL_FIELDS.keys() <= cell.keys():
         raise InvalidParameterError(f"{path} is not a complete cell file; {redo}")
+    for key, (kind, valid) in _CELL_FIELDS.items():
+        if not valid(cell[key]):
+            raise InvalidParameterError(f"{path} holds {key} = {cell[key]!r}, not {kind}; {redo}")
     found = {**cell, "sizes": [n for n, _ in cell["points"]]}
     for key, expected in fingerprint.items():
         if found.get(key) != expected:
@@ -426,10 +506,15 @@ def phase_diagram_sweep(
     window per size, derived master seed, realization count, variance
     normalisation), and re-runs skip cells whose files already exist
     unless ``force`` is true.  A cell file that cannot be read, or whose
-    sizes or settings differ from this sweep's, is refused rather than
-    mixed into the grid.  Every cell's configuration is validated before
-    any cell is computed or written.
+    results, sizes or settings differ from this sweep's, is refused rather
+    than mixed into the grid.  Every cell's configuration is validated,
+    and every existing cell file loaded, before any cell is computed or
+    written.  The cells still to compute share one task stream (and with
+    ``workers`` > 1 one worker pool); each cell is written as soon as its
+    last size is reduced, so an interrupted sweep resumes from its
+    finished cells.
     """
+    workers = _check_workers(workers)
     alphas = tuple(_exponent("alpha_t", a) for a in grid_alpha)
     betas = tuple(_exponent("beta_s", b) for b in grid_beta)
     if not alphas or not betas:
@@ -447,11 +532,8 @@ def phase_diagram_sweep(
     # seed, so its runs and windows are those of ``base``.
     windows = [[cfg.N, window] for cfg, window in size_configs(base, ordered_sizes, window_len)]
 
-    gamma = np.empty((len(alphas), len(betas)))
-    stderr = np.empty_like(gamma)
-    regimes: list[list[RegimeLabel]] = [[RegimeLabel.DIFFUSIVE] * len(betas) for _ in alphas]
-    points: dict[tuple[int, int], list[tuple[int, float]]] = {}
-
+    done: dict[tuple[int, int], dict] = {}
+    pending = []
     for (i, j), cell_base in cells.items():
         alpha, beta = cell_base.alpha_t, cell_base.beta_s
         cell_file = Path(out_dir, "cells", f"cell_{i:03d}_{j:03d}.json") if out_dir is not None else None
@@ -464,12 +546,17 @@ def phase_diagram_sweep(
             "windows": windows,
         }
         if cell_file is not None and cell_file.exists() and not force:
-            cell = _load_cell(cell_file, {"sizes": list(ordered_sizes), **settings})
+            done[(i, j)] = _load_cell(cell_file, {"sizes": list(ordered_sizes), **settings})
             log.info("cell (alpha=%g, beta=%g): reusing %s", alpha, beta, cell_file)
         else:
-            cell_points = size_scan(cell_base, ordered_sizes, window_len=window_len, workers=workers)
+            pending.append(((i, j), cell_file, settings, size_configs(cell_base, ordered_sizes, window_len)))
+
+    jobs = [job for *_, configs in pending for job in _windowed(configs)]
+    with _ensembles(jobs, workers) as results:
+        for (i, j), cell_file, settings, configs in pending:
+            cell_points = _scan_points(configs, results)
             g, se = fit_gamma(cell_points)
-            cell = {
+            done[(i, j)] = cell = {
                 **settings,
                 "gamma": g,
                 "stderr": se,
@@ -478,7 +565,13 @@ def phase_diagram_sweep(
             }
             if cell_file is not None:
                 io.write_json(cell_file, cell)
-            log.info("cell (alpha=%g, beta=%g): gamma=%.4f (%s)", alpha, beta, g, cell["regime"])
+            log.info("cell (alpha=%g, beta=%g): gamma=%.4f (%s)", cell["alpha"], cell["beta"], g, cell["regime"])
+
+    gamma = np.empty((len(alphas), len(betas)))
+    stderr = np.empty_like(gamma)
+    regimes: list[list[RegimeLabel]] = [[RegimeLabel.DIFFUSIVE] * len(betas) for _ in alphas]
+    points: dict[tuple[int, int], list[tuple[int, float]]] = {}
+    for (i, j), cell in done.items():
         gamma[i, j] = cell["gamma"]
         stderr[i, j] = cell["stderr"]
         regimes[i][j] = RegimeLabel(cell["regime"])

@@ -361,6 +361,24 @@ class TestFlags:
         assert not out.exists()
 
 
+class TestWorkers:
+    @pytest.mark.parametrize("command", ["run", "phase-diagram"])
+    @pytest.mark.parametrize("workers", ["0", "-2", "two"])
+    def test_bad_worker_count_exit_2_before_manifest(self, tmp_path, capsys, command, workers):
+        if command == "run":
+            cfg = run_config(tmp_path)
+        else:
+            cfg = tmp_path / "sweep.json"
+            sweep = {"grid_alpha": [0.0], "grid_beta": [0.0], "sizes": [16, 32, 64], "sigma_window": 4}
+            cfg.write_text(json.dumps(sweep))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(out), f"--workers={workers}"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPresets:
     def test_listing(self, capsys):
         assert main(["presets"]) == 0

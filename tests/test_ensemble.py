@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from corrwalk import (
     size_scan,
 )
 from corrwalk import ensemble
-from corrwalk.ensemble import _batch_size, size_configs
+from corrwalk import io as cwio
+from corrwalk.ensemble import _batch_size, _load_cell, size_configs
 from corrwalk.noise import generate_coin_phases
 from corrwalk.walk import initial_state_symmetric
 
@@ -142,6 +144,17 @@ class TestRunEnsemble:
         config = small_config(realizations=64)
         seeds = [derive_seed(config.master_seed, r) for r in range(1, config.realizations + 1)]
         assert len(set(seeds)) == len(seeds)
+
+    @pytest.mark.parametrize("workers", [0, -2, True, 1.5, "2"])
+    def test_bad_worker_count_rejected(self, workers, tmp_path):
+        with pytest.raises(InvalidParameterError, match="workers"):
+            run_ensemble(small_config(), workers=workers)
+        with pytest.raises(InvalidParameterError, match="workers"):
+            size_scan(small_config(), sizes=(16, 32, 64), window_len=4, workers=workers)
+        with pytest.raises(InvalidParameterError, match="workers"):
+            phase_diagram_sweep([0.0], [0.0], small_config(), (16, 32, 64), window_len=4,
+                                workers=workers, out_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_resource_cap_refusal(self):
         with pytest.raises(ResourceLimitError, match="update_cap"):
@@ -293,14 +306,15 @@ class TestRecordFrom:
         kwargs = dict(base=base, sizes=(32, 64, 128), window_len=8)
         windowed = phase_diagram_sweep([0.0, 4.0], [0.0, 4.0], **kwargs)
 
-        full_run = ensemble.run_ensemble
+        # Every ensemble of the sweep enters the task stream through _tasks.
+        full_tasks = ensemble._tasks
         passed = []
 
-        def every_step(config, workers=None, *, record_from=0):
+        def every_step(config, record_from, workers):
             passed.append(record_from)
-            return full_run(config, workers)
+            return full_tasks(config, 0, workers)
 
-        monkeypatch.setattr(ensemble, "run_ensemble", every_step)
+        monkeypatch.setattr(ensemble, "_tasks", every_step)
         full = phase_diagram_sweep([0.0, 4.0], [0.0, 4.0], **kwargs)
         # T = 16, 32, 64 with windows 8, 16, 32.
         assert passed == [9, 17, 33] * 4
@@ -535,3 +549,90 @@ class TestPhaseDiagramSweep:
             self._one_cell(tmp_path)
         forced = self._one_cell(tmp_path, force=True)
         assert json.loads(cell.read_text())["gamma"] == forced.gamma[0, 0]
+
+
+class TestCellFileTypes:
+    def _cell(self, tmp_path):
+        phase_diagram_sweep([0.0], [0.0], small_config(realizations=2), (16, 32, 64), window_len=4, out_dir=tmp_path)
+        return tmp_path / "cells" / "cell_000_000.json"
+
+    # Hand-written cells, each with one result field of the wrong kind.
+    @pytest.mark.parametrize("key, value", [("points", 5), ("points", [1, 2, 3]), ("gamma", "x"), ("regime", "nope")])
+    def test_mistyped_field_refused_by_path_and_key(self, tmp_path, key, value):
+        cell = self._cell(tmp_path)
+        payload = json.loads(cell.read_text())
+        cell.write_text(json.dumps({**payload, key: value}))
+        with pytest.raises(InvalidParameterError, match=f"cell_000_000.json holds {key} = .*--force"):
+            _load_cell(cell, {})
+
+    def test_mistyped_cell_refused_before_any_pool_starts(self, tmp_path, monkeypatch):
+        kwargs = dict(base=small_config(realizations=2), sizes=(16, 32, 64), window_len=4, out_dir=tmp_path)
+        phase_diagram_sweep([0.0], [0.0, 2.0], **kwargs)
+        first, second = sorted((tmp_path / "cells").iterdir())
+        first.unlink()
+        second.write_text(json.dumps({**json.loads(second.read_text()), "points": 5}))
+        pools = []
+        monkeypatch.setattr(ensemble, "Pool", lambda *args, **kwargs: pools.append(args))
+        with pytest.raises(InvalidParameterError, match="cell_000_001.json holds points"):
+            phase_diagram_sweep([0.0], [0.0, 2.0], workers=2, **kwargs)
+        assert not pools and not first.exists()
+
+
+class TestTaskStream:
+    SWEEP = dict(grid_alpha=[0.0, 4.0], grid_beta=[0.0, 4.0], base=small_config(realizations=5),
+                 sizes=(16, 32, 64), window_len=4)
+
+    @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
+    def test_one_pool_per_sweep(self, tmp_path, monkeypatch, workers, pools):
+        made = []
+        real_pool = ensemble.Pool
+
+        def counting(*args, **kwargs):
+            made.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "Pool", counting)
+        phase_diagram_sweep(**self.SWEEP, workers=workers, out_dir=tmp_path)
+        assert len(made) == pools
+        assert not multiprocessing.active_children()
+        # A sweep with every cell already computed starts no pool.
+        phase_diagram_sweep(**self.SWEEP, workers=workers, out_dir=tmp_path)
+        assert len(made) == pools
+
+    def test_sweep_files_identical_for_any_worker_count(self, tmp_path):
+        files = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            cwio.write_sweep_csv(out / "grid.csv", phase_diagram_sweep(**self.SWEEP, workers=workers, out_dir=out))
+            files[workers] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        assert len(files[1]) == 1 + 4
+        assert files[1] == files[2] == files[3]
+
+    def test_failed_cell_write_stops_the_pool_and_resume_reuses_the_written_cell(self, tmp_path, monkeypatch):
+        reference = phase_diagram_sweep(**self.SWEEP, out_dir=tmp_path / "reference")
+        real_write = cwio.write_json
+        calls = []
+
+        def second_write_fails(path, payload):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError(f"cannot write {path}")
+            return real_write(path, payload)
+
+        out = tmp_path / "out"
+        monkeypatch.setattr(cwio, "write_json", second_write_fails)
+        with pytest.raises(OSError, match="cell_000_001.json"):
+            phase_diagram_sweep(**self.SWEEP, workers=2, out_dir=out)
+        monkeypatch.setattr(cwio, "write_json", real_write)
+        assert not multiprocessing.active_children()
+
+        first = out / "cells" / "cell_000_000.json"
+        assert [p.name for p in (out / "cells").iterdir()] == [first.name]
+        assert first.read_bytes() == (tmp_path / "reference" / "cells" / first.name).read_bytes()
+        payload = json.loads(first.read_text())
+        payload["gamma"] = 123.0  # sentinel: resume must trust the file
+        first.write_text(json.dumps(payload))
+        resumed = phase_diagram_sweep(**self.SWEEP, workers=2, out_dir=out)
+        assert resumed.gamma[0, 0] == 123.0
+        np.testing.assert_array_equal(resumed.gamma.flat[1:], reference.gamma.flat[1:])
+        assert not multiprocessing.active_children()
