@@ -5,70 +5,39 @@ phases carry power-law correlated random inhomogeneities in time and in
 space, and provides the statistics (dispersion, Hurst and size-scaling
 exponents, regime classification) needed to map out the resulting
 dynamical phases.
+
+The package exports the names of the README quick start and the error
+types; everything else is imported from its module, for example
+``corrwalk.ensemble.phase_diagram_sweep`` or ``corrwalk.noise.derive_seed``.
 """
 
-from .ensemble import (
-    EnsembleConfig,
-    EnsembleResult,
-    SweepResult,
-    phase_diagram_sweep,
-    run_ensemble,
-    run_realization,
-    size_scan,
-)
+from .ensemble import EnsembleConfig, run_ensemble, size_scan
 from .errors import (
     DegenerateSeriesError,
     InsufficientDataError,
     InvalidParameterError,
     ResourceLimitError,
 )
-from .noise import (
-    CoinPhases,
-    derive_seed,
-    generate_coin_phases,
-    generate_fbm_trace,
-    squash_to_phase,
-)
-from .observables import (
-    RegimeLabel,
-    TrajectoryStats,
-    classify_regime,
-    dispersion,
-    fit_gamma,
-    fit_hurst,
-    longtime_avg_dispersion,
-    probability_profile,
-)
-from .walk import WalkerState, evolve, initial_state_symmetric
+from .noise import generate_coin_phases
+from .observables import classify_regime, dispersion, fit_gamma, fit_hurst, probability_profile
+from .walk import evolve, initial_state_symmetric
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoinPhases",
     "DegenerateSeriesError",
     "EnsembleConfig",
-    "EnsembleResult",
     "InsufficientDataError",
     "InvalidParameterError",
-    "RegimeLabel",
     "ResourceLimitError",
-    "SweepResult",
-    "TrajectoryStats",
-    "WalkerState",
     "classify_regime",
-    "derive_seed",
     "dispersion",
     "evolve",
     "fit_gamma",
     "fit_hurst",
     "generate_coin_phases",
-    "generate_fbm_trace",
     "initial_state_symmetric",
-    "longtime_avg_dispersion",
-    "phase_diagram_sweep",
     "probability_profile",
     "run_ensemble",
-    "run_realization",
     "size_scan",
-    "squash_to_phase",
 ]

@@ -250,12 +250,12 @@ def _parse_run_config(config: dict) -> dict:
 
     T = _field(config, "T", int)
     t_rule = config.get("t_rule")
+    if t_rule not in (None, "N/2", "5N"):
+        raise ConfigError(f"field 't_rule': expected 'N/2' or '5N', got {t_rule!r}")
     if T is not None and t_rule is not None:
         raise ConfigError("fields 'T'/'t_rule': at most one may be set")
-    if T is None:
-        t_rule = t_rule or "N/2"
-        if t_rule not in ("N/2", "5N"):
-            raise ConfigError(f"field 't_rule': expected 'N/2' or '5N', got {t_rule!r}")
+    if T is None and t_rule is None:
+        t_rule = "N/2"
 
     snapshot_times = _int_list(config, "snapshot_times") or []
     if snapshot_times and sizes is not None:

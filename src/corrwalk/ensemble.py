@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import numbers
 import time
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError, _exponent, _integer, _is_int, _is_real
 from .noise import _check_seed, derive_seed, generate_coin_phases
 from .observables import (
     RegimeLabel,
@@ -52,23 +51,6 @@ DEFAULT_UPDATE_CAP = 1_000_000_000
 BATCH_SITES = 4096
 
 
-def _is_int(value) -> bool:
-    """An integer that is not a ``bool``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A real number that is not a ``bool``."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _exponent(name: str, value) -> float:
-    """``value`` as a float if it is a finite non-negative real, not a ``bool``."""
-    if not _is_real(value) or not np.isfinite(value) or value < 0:
-        raise InvalidParameterError(f"{name} must be a finite non-negative real, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Parameters of one disorder-averaged run.
@@ -88,24 +70,17 @@ class EnsembleConfig:
     update_cap: int = DEFAULT_UPDATE_CAP
 
     def __post_init__(self) -> None:
-        if not _is_int(self.N) or self.N < 2:
-            raise InvalidParameterError(f"N must be an integer >= 2, got {self.N!r}")
-        if not _is_int(self.T) or self.T < 1:
-            raise InvalidParameterError(f"T must be a positive integer, got {self.T!r}")
+        _integer("N", self.N, 2)
+        _integer("T", self.T, 1)
         _exponent("alpha_t", self.alpha_t)
         _exponent("beta_s", self.beta_s)
-        if not _is_int(self.realizations) or self.realizations < 1:
-            raise InvalidParameterError(f"realizations must be an integer >= 1, got {self.realizations!r}")
+        _integer("realizations", self.realizations, 1)
         _check_seed(self.master_seed)
-        times = tuple(self.snapshot_times)
-        for t in times:
-            if not _is_int(t) or not 0 <= t <= self.T:
-                raise InvalidParameterError(f"snapshot_times must hold integers in [0, {self.T}], got {t!r}")
-        object.__setattr__(self, "snapshot_times", tuple(int(t) for t in times))
+        times = tuple(_integer("snapshot_times entry", t, 0, self.T) for t in self.snapshot_times)
+        object.__setattr__(self, "snapshot_times", times)
         if not isinstance(self.normalize_variance, bool):
             raise InvalidParameterError(f"normalize_variance must be a bool, got {self.normalize_variance!r}")
-        if not _is_int(self.update_cap) or self.update_cap < 1:
-            raise InvalidParameterError(f"update_cap must be a positive integer, got {self.update_cap!r}")
+        _integer("update_cap", self.update_cap, 1)
         updates = self.N * self.T
         if updates > self.update_cap:
             raise ResourceLimitError(
@@ -200,7 +175,7 @@ def run_realization(
     InvalidParameterError
         If ``record_from`` lies outside ``[0, T]``.
     """
-    _check_record_from(record_from, T)
+    _integer("record_from", record_from, 0, T)
     single = isinstance(seed, (int, np.integer))
     seeds = [seed] if single else list(seed)
     phases = [generate_coin_phases(T, N, alpha_t, beta_s, s, normalize=normalize_variance) for s in seeds]
@@ -222,11 +197,6 @@ def run_realization(
     )
 
 
-def _check_record_from(record_from: int, T: int) -> None:
-    if not isinstance(record_from, (int, np.integer)) or not 0 <= record_from <= T:
-        raise InvalidParameterError(f"record_from must be an integer in [0, {T}], got {record_from!r}")
-
-
 def _batch_size(N: int, R: int, workers: int) -> int:
     """Realizations evolved together: at most ``BATCH_SITES`` sites, and at
     least two batches per worker so that a pool stays busy."""
@@ -235,11 +205,7 @@ def _batch_size(N: int, R: int, workers: int) -> int:
 
 def _check_workers(workers) -> int:
     """The worker count: 1 for ``None``, else an integer >= 1 that is not a ``bool``."""
-    if workers is None:
-        return 1
-    if not _is_int(workers) or workers < 1:
-        raise InvalidParameterError(f"workers must be None or an integer >= 1, got {workers!r}")
-    return int(workers)
+    return 1 if workers is None else _integer("workers", workers, 1)
 
 
 def _tasks(config: EnsembleConfig, record_from: int, workers: int) -> list[tuple]:
@@ -308,7 +274,7 @@ def run_ensemble(
         If ``record_from`` lies outside ``[0, T]`` or ``workers`` is neither
         ``None`` nor an integer >= 1.
     """
-    _check_record_from(record_from, config.T)
+    _integer("record_from", record_from, 0, config.T)
     workers = _check_workers(workers)
     started = time.perf_counter()
     with _ensembles([(config, record_from)], workers) as results:

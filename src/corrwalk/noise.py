@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _exponent, _integer
 
 TWO_PI = 2.0 * np.pi
 
@@ -47,21 +47,14 @@ def derive_seed(master_seed: int, *labels: int | str) -> int:
     for label in labels:
         if isinstance(label, str):
             entropy.append(int.from_bytes(label.encode("utf-8"), "little"))
-        elif isinstance(label, (int, np.integer)):
-            if label < 0:
-                raise InvalidParameterError(f"integer labels must be non-negative, got {label}")
-            entropy.append(int(label))
         else:
-            raise InvalidParameterError(f"labels must be ints or strings, got {type(label).__name__}")
+            entropy.append(_integer("a non-string label", label, 0))
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise InvalidParameterError(f"seed must be an integer, got {type(seed).__name__}")
-    if not 0 <= seed < 2**64:
-        raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return int(seed)
+def _check_seed(seed) -> int:
+    """``seed`` as an ``int`` if it is an unsigned 64-bit integer."""
+    return _integer("seed", seed, 0, 2**64 - 1)
 
 
 def _finite_1d(values, name: str) -> np.ndarray:
@@ -115,15 +108,13 @@ def generate_fbm_trace(n: int, nu: float, seed: int, *, normalize: bool = False)
     unit sample variance before it is truncated.  Off by default: the raw
     mode sum has a nu- and M-dependent variance (pi/2 at nu = 0).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameterError(f"trace length must be a positive integer, got {n!r}")
-    if not np.isfinite(nu) or nu < 0:
-        raise InvalidParameterError(f"nu must be a finite non-negative real, got {nu}")
-    M = int(n + n % 2)
+    n = _integer("trace length", n, 1)
+    nu = _exponent("nu", nu)
+    M = n + n % 2
     rng = np.random.default_rng(_check_seed(seed))
     mode_phases = rng.uniform(0.0, TWO_PI, M // 2)
     k = np.arange(1, M // 2 + 1)
-    amps = np.sqrt((TWO_PI / M) ** (1.0 - nu) * k ** (-float(nu)))
+    amps = np.sqrt((TWO_PI / M) ** (1.0 - nu) * k ** (-nu))
 
     modes = np.zeros(M, dtype=np.complex128)
     modes[1 : M // 2 + 1] = amps * np.exp(1j * mode_phases)

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _integer
 from .noise import CoinPhases
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -39,8 +39,7 @@ class WalkerState:
             raise InvalidParameterError("up and down must be (N,) or (B, N) arrays of identical shape")
         if self.up.shape[-1] < 2:
             raise InvalidParameterError(f"lattice needs at least 2 sites, got {self.up.shape[-1]}")
-        if self.time < 0:
-            raise InvalidParameterError(f"time must be non-negative, got {self.time}")
+        _integer("time", self.time, 0)
 
     @property
     def lattice_size(self) -> int:
@@ -54,8 +53,7 @@ def initial_state_symmetric(N: int) -> WalkerState:
     The amplitudes are ``1/sqrt(2)`` (spin-up) and ``i/sqrt(2)``
     (spin-down); every other site is zero and ``time`` is 0.
     """
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise InvalidParameterError(f"N must be an integer >= 2, got {N}")
+    N = _integer("N", N, 2)
     up = np.zeros(N, dtype=np.complex128)
     down = np.zeros(N, dtype=np.complex128)
     center = N // 2
@@ -134,8 +132,7 @@ def evolve(
         sequences do not match the lattice size, or a batch does not get
         one ``CoinPhases`` per row.
     """
-    if not isinstance(T, (int, np.integer)) or T < 0:
-        raise InvalidParameterError(f"T must be a non-negative integer, got {T}")
+    T = _integer("T", T, 0)
     shape = state.up.shape
     N = shape[-1]
     rows = list(phases) if state.up.ndim == 2 else [phases]

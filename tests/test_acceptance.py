@@ -12,21 +12,18 @@ import pytest
 
 from _oracles import as_vector, dense_step_unitary, norm, periodogram_slope, windowed_peaks
 from corrwalk import (
-    CoinPhases,
     EnsembleConfig,
-    derive_seed,
     evolve,
     fit_gamma,
     fit_hurst,
     generate_coin_phases,
-    generate_fbm_trace,
     initial_state_symmetric,
-    longtime_avg_dispersion,
     run_ensemble,
     size_scan,
-    squash_to_phase,
 )
 from corrwalk.io import write_trajectory_csv
+from corrwalk.noise import CoinPhases, derive_seed, generate_fbm_trace, squash_to_phase
+from corrwalk.observables import longtime_avg_dispersion
 
 ACCEPT_SEED = 20260810
 GAMMA_SIZES = (500, 1000, 2000, 4000)

@@ -209,6 +209,17 @@ class TestRun:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_rule", [0, False, "", [], "N", "5n"])
+    def test_bad_t_rule_exit_2_before_manifest(self, tmp_path, capsys, t_rule):
+        cfg = run_config(tmp_path, t_rule=t_rule)
+        config = json.loads(cfg.read_text())
+        del config["T"]
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "t_rule" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_holding_snapshot_single_false_replays(self, tmp_path):
         # Manifests written while the field existed hold it as false.
         out = tmp_path / "out"

@@ -4,22 +4,12 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from corrwalk import (
-    EnsembleConfig,
-    InvalidParameterError,
-    RegimeLabel,
-    ResourceLimitError,
-    derive_seed,
-    longtime_avg_dispersion,
-    phase_diagram_sweep,
-    run_ensemble,
-    run_realization,
-    size_scan,
-)
+from corrwalk import EnsembleConfig, InvalidParameterError, ResourceLimitError, run_ensemble, size_scan
 from corrwalk import ensemble
 from corrwalk import io as cwio
-from corrwalk.ensemble import _batch_size, _load_cell, size_configs
-from corrwalk.noise import generate_coin_phases
+from corrwalk.ensemble import _batch_size, _load_cell, phase_diagram_sweep, run_realization, size_configs
+from corrwalk.noise import derive_seed, generate_coin_phases
+from corrwalk.observables import RegimeLabel, longtime_avg_dispersion
 from corrwalk.walk import initial_state_symmetric
 
 from _oracles import whole_lattice_step
@@ -283,7 +273,7 @@ class TestRecordFrom:
         assert last.dispersion[-1] == stats.dispersion[-1]
         assert np.isnan(last.dispersion[:-1]).all()
 
-    @pytest.mark.parametrize("record_from", [-1, 25, 2.5])
+    @pytest.mark.parametrize("record_from", [-1, 25, 2.5, True])
     def test_outside_run_rejected(self, record_from):
         with pytest.raises(InvalidParameterError, match="record_from"):
             run_realization(32, 24, 2.0, 1.0, 5, record_from=record_from)

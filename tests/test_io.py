@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corrwalk import RegimeLabel
+from corrwalk.observables import RegimeLabel
 from corrwalk.io import format_value, write_csv, write_json, write_phase_csv
 
 

@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrwalk import (
-    CoinPhases,
-    InvalidParameterError,
-    derive_seed,
-    generate_coin_phases,
-    generate_fbm_trace,
-    squash_to_phase,
-)
+from corrwalk import InvalidParameterError, generate_coin_phases
+from corrwalk.noise import CoinPhases, derive_seed, generate_fbm_trace, squash_to_phase
 
 from _oracles import direct_fbm_trace, periodogram_slope
 
@@ -25,6 +19,11 @@ class TestFbmTrace:
     def test_rejects_negative_nu(self):
         with pytest.raises(InvalidParameterError):
             generate_fbm_trace(100, -0.5, 1)
+
+    @pytest.mark.parametrize("n, nu, match", [(True, 1.0, "length"), (4, True, "nu"), (4, "x", "nu")])
+    def test_rejects_bool_or_non_number(self, n, nu, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            generate_fbm_trace(n, nu, 1)
 
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(InvalidParameterError):
@@ -211,3 +210,5 @@ class TestDeriveSeed:
             derive_seed(1, 2.5)
         with pytest.raises(InvalidParameterError):
             derive_seed(1, -3)
+        with pytest.raises(InvalidParameterError):
+            derive_seed(1, True)

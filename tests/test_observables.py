@@ -2,24 +2,26 @@ import numpy as np
 import pytest
 
 from corrwalk import (
-    CoinPhases,
     DegenerateSeriesError,
     InsufficientDataError,
     InvalidParameterError,
-    RegimeLabel,
-    TrajectoryStats,
     classify_regime,
     dispersion,
     evolve,
     fit_gamma,
     fit_hurst,
     initial_state_symmetric,
-    longtime_avg_dispersion,
     probability_profile,
-    run_realization,
 )
-from corrwalk.noise import generate_coin_phases
-from corrwalk.observables import centred_moments, scaled_windows
+from corrwalk.ensemble import run_realization
+from corrwalk.noise import CoinPhases, generate_coin_phases
+from corrwalk.observables import (
+    RegimeLabel,
+    TrajectoryStats,
+    centred_moments,
+    longtime_avg_dispersion,
+    scaled_windows,
+)
 
 from _oracles import initial_state_generic
 

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from corrwalk import (
-    CoinPhases,
     InvalidParameterError,
     evolve,
     generate_coin_phases,
     initial_state_symmetric,
     probability_profile,
 )
+from corrwalk.noise import CoinPhases
 from corrwalk.walk import WalkerState, light_cone, support
 
 from _oracles import as_vector, dense_step_unitary, initial_state_generic, norm, whole_lattice_step
@@ -212,6 +212,16 @@ class TestEvolve:
         state = initial_state_symmetric(8)
         with pytest.raises(InvalidParameterError):
             evolve(state, zero_phases(4, 6), 2)
+
+    @pytest.mark.parametrize("T", [-1, True, 2.0])
+    def test_step_count_not_an_integer_rejected(self, T):
+        with pytest.raises(InvalidParameterError, match="T"):
+            evolve(initial_state_symmetric(8), zero_phases(4, 8), T)
+
+    @pytest.mark.parametrize("time", [-1, True, 0.5])
+    def test_state_time_not_an_integer_rejected(self, time):
+        with pytest.raises(InvalidParameterError, match="time"):
+            WalkerState(up=np.zeros(4), down=np.zeros(4), time=time)
 
 
 def random_phases(rng, T, N):
