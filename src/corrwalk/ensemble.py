@@ -81,7 +81,7 @@ class EnsembleConfig:
         if not isinstance(self.normalize_variance, bool):
             raise InvalidParameterError(f"normalize_variance must be a bool, got {self.normalize_variance!r}")
         _integer("update_cap", self.update_cap, 1)
-        updates = self.N * self.T
+        updates = int(self.N) * int(self.T)  # a numpy integer product could wrap
         if updates > self.update_cap:
             raise ResourceLimitError(
                 f"N*T = {updates} exceeds the configured cap of {self.update_cap} "

@@ -117,7 +117,7 @@ def test_criterion_02_homogeneous_ballistic():
         sigma[t] = np.sqrt(np.dot((sites - m) ** 2, p))
 
     evolve(initial_state_symmetric(N), phases, T, observer=observer)
-    from corrwalk import TrajectoryStats
+    from corrwalk.observables import TrajectoryStats
 
     stats = TrajectoryStats(times=np.arange(T + 1), mean_position=np.zeros(T + 1), dispersion=sigma)
     H, _ = fit_hurst(stats)  # default window [T/5, T]
@@ -260,7 +260,7 @@ def test_criterion_09_spectral_fidelity():
 def test_sweep_corner_regimes():
     """Companion check: the measured exponents classify the corner cells
     of the parameter plane correctly (reuses the criterion-7 scans)."""
-    from corrwalk import RegimeLabel, classify_regime
+    from corrwalk.observables import RegimeLabel, classify_regime
 
     expected = {
         (0.0, 0.0): RegimeLabel.DIFFUSIVE,

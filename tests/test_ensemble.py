@@ -149,6 +149,9 @@ class TestRunEnsemble:
     def test_resource_cap_refusal(self):
         with pytest.raises(ResourceLimitError, match="update_cap"):
             run_ensemble(small_config(update_cap=100))
+        # N * T of two int64 scalars wraps to 0 in numpy.
+        with pytest.raises(ResourceLimitError, match="update_cap"):
+            small_config(N=np.int64(2**33), T=np.int64(2**31))
 
     def test_standard_error_scales_as_inverse_sqrt(self):
         # sigma(T) spread across realizations: SE should fall like 1/sqrt(R)
