@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, InsufficientDataError, InvalidParameterError
+from .errors import DegenerateSeriesError, InsufficientDataError, InvalidParameterError, _integer
 from .walk import WalkerState
 
 
@@ -198,8 +198,7 @@ def longtime_avg_dispersion(stats: TrajectoryStats, window_len: int = 100) -> fl
     with each size's horizon (see ``scaled_windows``); a fixed window
     would bias the fitted size-scaling exponent upwards.
     """
-    if window_len < 1:
-        raise InvalidParameterError(f"window_len must be positive, got {window_len}")
+    window_len = _integer("window_len", window_len, 1)
     if stats.times.size < window_len:
         raise InsufficientDataError(
             f"trajectory has {stats.times.size} entries, need at least {window_len}"
@@ -223,15 +222,14 @@ def scaled_windows(window_len: int, horizons) -> list[int]:
     Raises
     ------
     InvalidParameterError
-        If ``window_len`` is not positive, a horizon is not positive, or
+        If ``window_len`` or a horizon is not a positive integer, or
         the shortest run records fewer than ``window_len`` entries
         (``window_len > T_min + 1``).
     """
-    if window_len < 1:
-        raise InvalidParameterError(f"window_len must be positive, got {window_len}")
-    ts = [int(t) for t in horizons]
-    if not ts or min(ts) < 1:
-        raise InvalidParameterError(f"horizons must be positive integers, got {ts}")
+    window_len = _integer("window_len", window_len, 1)
+    ts = [_integer("horizons entry", t, 1) for t in horizons]
+    if not ts:
+        raise InvalidParameterError("horizons must hold at least one horizon")
     t_min = min(ts)
     if window_len > t_min + 1:
         raise InvalidParameterError(

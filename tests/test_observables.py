@@ -231,6 +231,12 @@ class TestLongtimeAvgDispersion:
         with pytest.raises(InsufficientDataError):
             longtime_avg_dispersion(stats, 100)
 
+    @pytest.mark.parametrize("window_len", [0, True, 2.5])
+    def test_window_not_a_positive_integer_rejected(self, window_len):
+        stats = make_stats(np.arange(0, 50), np.ones(50))
+        with pytest.raises(InvalidParameterError, match="window_len"):
+            longtime_avg_dispersion(stats, window_len)
+
 
 class TestScaledWindows:
     def test_proportional_to_horizon(self):
@@ -259,6 +265,10 @@ class TestScaledWindows:
             scaled_windows(5, [])
         with pytest.raises(InvalidParameterError):
             scaled_windows(5, [0, 20])
+        # Bools and fractions are not windows or horizons.
+        for window_len, horizons in ((True, [10, 20]), (2.5, [10, 20]), (5, [10.5, 20])):
+            with pytest.raises(InvalidParameterError):
+                scaled_windows(window_len, horizons)
 
     @pytest.mark.parametrize("H", [1.0, 0.5])
     def test_ideal_power_law_gamma_unbiased(self, H):
