@@ -22,6 +22,8 @@ from . import __version__, io
 from .ensemble import (
     DEFAULT_UPDATE_CAP,
     EnsembleConfig,
+    _grid,
+    _scan_sizes,
     phase_diagram_sweep,
     run_ensemble,
     size_configs,
@@ -31,6 +33,7 @@ from .errors import (
     InsufficientDataError,
     InvalidParameterError,
     ResourceLimitError,
+    _integer,
 )
 from .noise import generate_fbm_trace, squash_to_phase
 from .observables import classify_regime, fit_gamma, fit_hurst, longtime_avg_dispersion
@@ -84,15 +87,23 @@ def _resolved_config(args, command: str, flag_fields: dict) -> dict:
             config[key] = value
     if args.seed is not None:
         config["seed"] = args.seed
-    return config
+    return _parse(config, command)
 
 
-def _field(config: dict, name: str, kind, *, required: bool = False, default=None):
+# Marks a field that has no default.
+_REQUIRED = object()
+
+
+def _field(config: dict, name: str, kind, default=_REQUIRED):
+    """Field ``name`` as ``kind`` (``int``, ``float``, ``bool``, ``str``, or
+    ``[kind]`` for a list of that kind); ``default`` when unset or null."""
     if name not in config or config[name] is None:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"field {name!r}: required but missing")
         return default
     value = config[name]
+    if isinstance(kind, list) and isinstance(value, (list, tuple)):
+        return [_field({name: v}, name, kind[0]) for v in value]
     # JSON true and false are Python ints, but not numbers in a config.
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is int and number and (isinstance(value, int) or value.is_integer()):
@@ -100,38 +111,13 @@ def _field(config: dict, name: str, kind, *, required: bool = False, default=Non
     # Finite, also for an integer too large for a float.
     if kind is float and number and abs(value) <= sys.float_info.max:
         return float(value)
-    if kind is bool and isinstance(value, bool):
+    if kind in (bool, str) and isinstance(value, kind):
         return value
-    if kind is list and isinstance(value, (list, tuple)):
-        return list(value)
-    raise ConfigError(f"field {name!r}: expected {kind.__name__}, got {value!r}")
+    expected = f"list of {kind[0].__name__}" if isinstance(kind, list) else kind.__name__
+    raise ConfigError(f"field {name!r}: expected {expected}, got {value!r}")
 
 
-def _int_list(config: dict, name: str, *, required: bool = False) -> list[int] | None:
-    """A list field whose entries each parse as ``_field(..., int)`` does."""
-    values = _field(config, name, list, required=required)
-    return None if values is None else [_field({name: v}, name, int) for v in values]
-
-
-def _sizes_field(config: dict, *, required: bool = False) -> list[int] | None:
-    sizes = _int_list(config, "sizes", required=required)
-    if sizes is not None and (not sizes or min(sizes) < 2 or len(set(sizes)) < len(sizes)):
-        raise ConfigError(f"field 'sizes': expected distinct lattice sizes >= 2, got {sizes}")
-    return sizes
-
-
-def _grid_field(config: dict, name: str) -> list[float]:
-    """A sweep axis: a non-empty list of finite non-negative exponents."""
-    grid = [_field({name: v}, name, float) for v in _field(config, name, list, required=True)]
-    if not grid:
-        raise ConfigError(f"field {name!r}: must hold at least one value")
-    for value in grid:
-        if value < 0:
-            raise ConfigError(f"field {name!r}: values must be finite and non-negative, got {value!r}")
-    return grid
-
-
-# Fields that `run` and `phase-diagram` both read, with their defaults.
+# Fields that `run` and `phase-diagram` both read.
 _ENSEMBLE_FIELDS = {
     "realizations": (int, 200),
     "seed": (int, 0),
@@ -139,24 +125,51 @@ _ENSEMBLE_FIELDS = {
     "normalize_variance": (bool, False),
     "update_cap": (int, DEFAULT_UPDATE_CAP),
 }
-_TRACE_FIELDS = ("nu", "length", "seed", "raw")
-_RUN_FIELDS = ("N", "sizes", "T", "t_rule", "alpha_t", "beta_s", "snapshot_times", "fit_window",
-               "snapshot_single", *_ENSEMBLE_FIELDS)
-_SWEEP_FIELDS = ("grid_alpha", "grid_beta", "sizes", *_ENSEMBLE_FIELDS)
+# Each command's fields, as ``name: (kind, default or _REQUIRED)``.
+_FIELDS = {
+    "trace": {
+        "nu": (float, _REQUIRED),
+        "length": (int, _REQUIRED),
+        "seed": (int, 0),
+        "raw": (bool, False),
+    },
+    "run": {
+        "N": (int, None),
+        "sizes": ([int], None),
+        "T": (int, None),
+        "t_rule": (str, None),
+        "alpha_t": (float, _REQUIRED),
+        "beta_s": (float, _REQUIRED),
+        "snapshot_times": ([int], ()),
+        "fit_window": ([int], None),
+        "snapshot_single": (bool, False),
+        **_ENSEMBLE_FIELDS,
+    },
+    "phase-diagram": {
+        "grid_alpha": ([float], _REQUIRED),
+        "grid_beta": ([float], _REQUIRED),
+        "sizes": ([int], _REQUIRED),
+        **_ENSEMBLE_FIELDS,
+    },
+}
 
 
-def _known_fields(config: dict, fields) -> None:
-    """Refuse a field the command does not read, such as a misspelt one."""
+def _parse(config: dict, command: str) -> dict:
+    """Every field of ``command`` read from ``config`` as its kind, or its
+    default; a field the command does not read, such as a misspelt one, is refused."""
+    fields = _FIELDS[command]
     unknown = sorted(set(config) - set(fields))
     if unknown:
         raise ConfigError(f"unknown field(s) {unknown}; known fields are {sorted(fields)}")
+    return {name: _field(config, name, kind, default) for name, (kind, default) in fields.items()}
 
 
-def _ensemble_fields(config: dict) -> dict:
-    parsed = {name: _field(config, name, kind, default=d) for name, (kind, d) in _ENSEMBLE_FIELDS.items()}
-    if parsed["sigma_window"] < 1:
-        raise ConfigError(f"field 'sigma_window': must be positive, got {parsed['sigma_window']}")
-    return parsed
+def _checked(name: str, rule, *args):
+    """``rule(*args)``, reporting a refusal as one of field ``name``."""
+    try:
+        return rule(*args)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"field {name!r}: {exc}") from None
 
 
 def _ensemble_config(config: dict, N: int, T: int, alpha_t: float, beta_s: float, **extra) -> EnsembleConfig:
@@ -212,21 +225,13 @@ def _hurst_entry(stats, fit_window) -> dict:
 
 
 def _cmd_trace(args) -> int:
-    config = _resolved_config(
-        args, "trace", {"nu": args.nu, "length": args.length, "raw": args.raw or None}
-    )
-    _known_fields(config, _TRACE_FIELDS)
-    nu = _field(config, "nu", float, required=True)
-    length = _field(config, "length", int, required=True)
-    seed = _field(config, "seed", int, default=0)
-    raw = _field(config, "raw", bool, default=False)
-    trace = generate_fbm_trace(length, nu, seed)
+    config = _resolved_config(args, "trace", {"nu": args.nu, "length": args.length, "raw": args.raw or None})
+    trace = generate_fbm_trace(config["length"], config["nu"], config["seed"])
 
     out_dir = _out_dir(args, "trace")
-    resolved = {"nu": nu, "length": length, "seed": seed, "raw": raw}
-    _write_manifest(out_dir, "trace", resolved, seed)
+    _write_manifest(out_dir, "trace", config, config["seed"])
 
-    if raw:
+    if config["raw"]:
         path = io.write_phase_csv(out_dir / "trace.csv", trace, value_label="value")
     else:
         path = io.write_phase_csv(out_dir / "trace.csv", squash_to_phase(trace), value_label="V")
@@ -238,46 +243,31 @@ def _cmd_trace(args) -> int:
 # run
 
 
-def _parse_run_config(config: dict) -> dict:
-    _known_fields(config, _RUN_FIELDS)
+def _check_run_config(config: dict) -> dict:
+    """A parsed run config through its cross-field rules, with ``t_rule``
+    resolved and ``snapshot_single`` dropped."""
     # Manifests of earlier versions hold "snapshot_single": false; snapshots are always averaged.
-    if _field(config, "snapshot_single", bool, default=False):
+    if config.pop("snapshot_single"):
         raise ConfigError("field 'snapshot_single': no longer supported; snapshots are averaged")
-    N = _field(config, "N", int)
-    sizes = _sizes_field(config)
-    if (N is None) == (sizes is None):
+    if (config["N"] is None) == (config["sizes"] is None):
         raise ConfigError("fields 'N'/'sizes': exactly one must be set")
 
-    T = _field(config, "T", int)
-    t_rule = config.get("t_rule")
-    if t_rule not in (None, "N/2", "5N"):
-        raise ConfigError(f"field 't_rule': expected 'N/2' or '5N', got {t_rule!r}")
-    if T is not None and t_rule is not None:
+    if config["t_rule"] not in (None, "N/2", "5N"):
+        raise ConfigError(f"field 't_rule': expected 'N/2' or '5N', got {config['t_rule']!r}")
+    if config["T"] is not None and config["t_rule"] is not None:
         raise ConfigError("fields 'T'/'t_rule': at most one may be set")
-    if T is None and t_rule is None:
-        t_rule = "N/2"
+    if config["T"] is None and config["t_rule"] is None:
+        config["t_rule"] = "N/2"
 
-    snapshot_times = _int_list(config, "snapshot_times") or []
-    if snapshot_times and sizes is not None:
+    if config["snapshot_times"] and config["sizes"] is not None:
         raise ConfigError("field 'snapshot_times': only supported for single-size runs")
 
-    fit_window = _int_list(config, "fit_window")
+    fit_window = config["fit_window"]
     if fit_window is not None and not (len(fit_window) == 2 and 0 <= fit_window[0] < fit_window[1]):
         raise ConfigError(
             f"field 'fit_window': expected [t_min, t_max] with 0 <= t_min < t_max, got {fit_window}"
         )
-
-    return {
-        "N": N,
-        "sizes": sizes,
-        "T": T,
-        "t_rule": t_rule,
-        "alpha_t": _field(config, "alpha_t", float, required=True),
-        "beta_s": _field(config, "beta_s", float, required=True),
-        "snapshot_times": snapshot_times,
-        "fit_window": fit_window,
-        **_ensemble_fields(config),
-    }
+    return config
 
 
 def _time_horizon(N: int, T: int | None, t_rule: str) -> int:
@@ -287,13 +277,16 @@ def _time_horizon(N: int, T: int | None, t_rule: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _parse_run_config(_resolved_config(args, "run", {}))
+    config = _check_run_config(_resolved_config(args, "run", {}))
     out_dir = _out_dir(args, "run")
 
-    sizes = config["sizes"] or [config["N"]]
+    sizes = config["sizes"]
+    if sizes is not None:
+        _checked("sizes", _scan_sizes, sizes, 1)
+    N = config["N"] if sizes is None else sizes[0]
     horizon = partial(_time_horizon, T=config["T"], t_rule=config["t_rule"])
     first = _ensemble_config(
-        config, sizes[0], horizon(sizes[0]), config["alpha_t"], config["beta_s"],
+        config, N, horizon(N), config["alpha_t"], config["beta_s"],
         snapshot_times=tuple(config["snapshot_times"]),
     )
     # A single size is the one run and keeps sigma_window; nothing is fitted
@@ -301,12 +294,10 @@ def _cmd_run(args) -> int:
     # window.  Multi-size runs average over windows proportional to each
     # horizon so that the gamma fit is unbiased, and every run must record
     # its whole window.
-    runs = [(first, config["sigma_window"])]
-    if config["sizes"] is not None:
-        try:
-            runs = size_configs(first, sizes, config["sigma_window"], horizon)
-        except InvalidParameterError as exc:
-            raise ConfigError(f"field 'sigma_window': {exc}")
+    if sizes is None:
+        runs = [(first, _integer("sigma_window", config["sigma_window"], 1))]
+    else:
+        runs = _checked("sigma_window", size_configs, first, sizes, config["sigma_window"], horizon)
     _write_manifest(out_dir, "run", config, config["seed"])
 
     entries = []
@@ -358,32 +349,16 @@ def _cmd_run(args) -> int:
 # phase-diagram
 
 
-def _parse_sweep_config(config: dict) -> dict:
-    _known_fields(config, _SWEEP_FIELDS)
-    grid_alpha = _grid_field(config, "grid_alpha")
-    grid_beta = _grid_field(config, "grid_beta")
-    sizes = _sizes_field(config, required=True)
-    if len(sizes) < 3:
-        raise ConfigError("field 'sizes': need at least 3 lattice sizes")
-    return {
-        "grid_alpha": grid_alpha,
-        "grid_beta": grid_beta,
-        "sizes": sizes,
-        **_ensemble_fields(config),
-    }
-
-
 def _cmd_phase_diagram(args) -> int:
-    config = _parse_sweep_config(_resolved_config(args, "phase-diagram", {}))
+    config = _resolved_config(args, "phase-diagram", {})
     out_dir = _out_dir(args, "phase-diagram")
 
+    sizes = _checked("sizes", _scan_sizes, config["sizes"])
+    alphas = _checked("grid_alpha", _grid, "alpha_t", config["grid_alpha"])
+    betas = _checked("grid_beta", _grid, "beta_s", config["grid_beta"])
     # The first cell's first run; the sweep derives every other run from it.
-    N = config["sizes"][0]
-    first = _ensemble_config(config, N, N // 2, config["grid_alpha"][0], config["grid_beta"][0])
-    try:
-        size_configs(first, config["sizes"], config["sigma_window"])
-    except InvalidParameterError as exc:
-        raise ConfigError(f"field 'sigma_window': {exc}")
+    first = _ensemble_config(config, sizes[0], sizes[0] // 2, alphas[0], betas[0])
+    _checked("sigma_window", size_configs, first, sizes, config["sigma_window"])
     _write_manifest(out_dir, "phase-diagram", config, config["seed"])
 
     sweep = phase_diagram_sweep(
@@ -423,9 +398,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _worker_count(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
-    return int(text)
+    try:
+        return _integer("--workers", int(text), 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}") from None
 
 
 def _add_workers(parser: argparse.ArgumentParser) -> None:

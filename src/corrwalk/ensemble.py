@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -197,10 +197,9 @@ def run_realization(
     )
 
 
-def _batch_size(N: int, R: int, workers: int) -> int:
-    """Realizations evolved together: at most ``BATCH_SITES`` sites, and at
-    least two batches per worker so that a pool stays busy."""
-    return max(1, min(BATCH_SITES // N, -(-R // (2 * workers))))
+def _batch_size(N: int) -> int:
+    """Realizations evolved together: at most ``BATCH_SITES`` sites."""
+    return max(1, BATCH_SITES // N)
 
 
 def _check_workers(workers) -> int:
@@ -208,18 +207,19 @@ def _check_workers(workers) -> int:
     return 1 if workers is None else _integer("workers", workers, 1)
 
 
-def _tasks(config: EnsembleConfig, record_from: int, workers: int) -> list[tuple]:
+def _tasks(config: EnsembleConfig, record_from: int):
     """One ensemble's batches as stream tasks ``(run, master_seed, first, stop)``:
     ``run`` evolves realizations ``first .. stop - 1`` (1-based) together."""
     R = config.realizations
-    B = _batch_size(config.N, R, workers)
+    B = _batch_size(config.N)
     # Looked up on the module here, so a wrapper installed on it runs too.
     run = partial(
         run_realization, config.N, config.T, config.alpha_t, config.beta_s,
         snapshot_times=config.snapshot_times, normalize_variance=config.normalize_variance,
         record_from=record_from,
     )
-    return [(run, config.master_seed, first, min(first + B, R + 1)) for first in range(1, R + 1, B)]
+    for first in range(1, R + 1, B):
+        yield run, config.master_seed, first, min(first + B, R + 1)
 
 
 def _run_batch(task) -> TrajectoryStats:
@@ -235,63 +235,60 @@ def _ensembles(jobs, workers: int):
     Every batch of every job goes through one ordered task stream: serial
     ``map`` for one worker or no job, else the ``imap`` of one pool, which
     lives as long as the ``with`` block and is shut down when it ends, also
-    on an error.  Tasks are sent one at a time, so that few results that
-    finish ahead of their turn wait in the parent.  ``_reduce`` takes each
-    job's batches in realization order, so the output does not depend on
-    ``workers``.
+    on an error.  Tasks are generated as the stream reaches them and sent
+    one at a time, so that few results that finish ahead of their turn
+    wait in the parent.  ``_reduce`` takes each job's batches in
+    realization order, so the output does not depend on ``workers``.
     """
-    tasks = [_tasks(cfg, record_from, workers) for cfg, record_from in jobs]
+    tasks = chain.from_iterable(_tasks(cfg, record_from) for cfg, record_from in jobs)
 
     def reduced(results):
-        return (_reduce(islice(results, len(batches)), cfg) for (cfg, _), batches in zip(jobs, tasks))
+        return (_reduce(results, cfg) for cfg, _ in jobs)
 
     if workers == 1 or not jobs:
-        yield reduced(map(_run_batch, chain.from_iterable(tasks)))
+        yield reduced(map(_run_batch, tasks))
     else:
         with Pool(processes=workers) as pool:
-            yield reduced(pool.imap(_run_batch, chain.from_iterable(tasks), chunksize=1))
+            yield reduced(pool.imap(_run_batch, tasks, chunksize=1))
 
 
-def run_ensemble(
-    config: EnsembleConfig, workers: int | None = None, *, record_from: int = 0
-) -> EnsembleResult:
+def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> EnsembleResult:
     """Average trajectories over ``config.realizations`` independent draws.
 
     Realization ``r`` (1-based) uses coin phases seeded by
     ``derive_seed(master_seed, r)``.  Contiguous runs of realizations are
     evolved together in batches (``run_realization`` with a seed
-    sequence) whose size depends on ``N``, the realization count and the
-    worker count only; a realization's row does not depend on its batch.
-    Per-realization results are
-    accumulated strictly in realization order, so the output is
-    bit-identical for a fixed master seed no matter how many workers are
-    used.  Mean and dispersion are averaged from step ``record_from`` on
-    and are NaN before it (see ``run_realization``).
+    sequence) whose size depends on ``N`` only; a realization's row does
+    not depend on its batch.  Per-realization results are accumulated
+    strictly in realization order, so the output is bit-identical for a
+    fixed master seed no matter how many workers are used.
 
     Raises
     ------
     InvalidParameterError
-        If ``record_from`` lies outside ``[0, T]`` or ``workers`` is neither
-        ``None`` nor an integer >= 1.
+        If ``workers`` is neither ``None`` nor an integer >= 1.
     """
-    _integer("record_from", record_from, 0, config.T)
     workers = _check_workers(workers)
     started = time.perf_counter()
-    with _ensembles([(config, record_from)], workers) as results:
+    with _ensembles([(config, 0)], workers) as results:
         stats, contacted = next(results)
     elapsed = time.perf_counter() - started
     return EnsembleResult(config, stats, contacted, elapsed)
 
 
 def _reduce(batches, config: EnsembleConfig) -> tuple[TrajectoryStats, int]:
-    """Add the rows of each batch's ``TrajectoryStats`` in realization order."""
+    """Add the rows of the next batches' ``TrajectoryStats`` in realization
+    order, until they hold ``config.realizations`` rows."""
     sigma_sum = np.zeros(config.T + 1)
     mean_sum = np.zeros(config.T + 1)
     snap_sums = {t: np.zeros(config.N) for t in config.snapshot_times}
     contact_min: int | None = None
     contacted = 0
+    rows = 0
 
-    for batch in batches:
+    while rows < config.realizations:
+        batch = next(batches)
+        rows += len(batch.boundary_contact_time)
         for b, contact in enumerate(batch.boundary_contact_time):
             sigma_sum += batch.dispersion[b]
             mean_sum += batch.mean_position[b]
@@ -322,13 +319,12 @@ def size_configs(
     Size ``N`` runs ``horizon(N)`` steps (default ``N // 2``) from master
     seed ``derive_seed(base.master_seed, "size", N)`` without snapshots and
     averages its final ``window`` steps (``scaled_windows``); every other
-    field comes from ``base``.  Raises ``InvalidParameterError`` on a
-    repeated or non-integer size, an invalid config or a ``window_len``
-    longer than the shortest run, and ``ResourceLimitError`` on a size over
-    the update cap.
+    field comes from ``base``.  Raises ``InvalidParameterError`` on no
+    size, a repeated size or one that is not an integer >= 2, an invalid
+    config or a ``window_len`` longer than the shortest run, and
+    ``ResourceLimitError`` on a size over the update cap.
     """
-    if not all(_is_int(n) for n in sizes) or len(set(sizes)) < len(sizes):
-        raise InvalidParameterError(f"lattice sizes must be distinct integers, got {sizes}")
+    _scan_sizes(sizes, least=1)
     configs = [
         replace(
             base,
@@ -342,12 +338,21 @@ def size_configs(
     return list(zip(configs, scaled_windows(window_len, [cfg.T for cfg in configs])))
 
 
-def _scan_sizes(sizes) -> tuple[int, ...]:
-    """The lattice sizes of a scan in increasing order; a fit needs at least 3."""
-    sizes = list(sizes)
-    if len(sizes) < 3 or not all(_is_int(n) for n in sizes):
-        raise InvalidParameterError(f"need at least 3 integer lattice sizes, got {sizes}")
-    return tuple(sorted(int(n) for n in sizes))
+def _scan_sizes(sizes, least: int = 3) -> tuple[int, ...]:
+    """The lattice sizes of a scan in increasing order: at least ``least``
+    distinct integers >= 2 (a gamma fit needs 3)."""
+    sizes = [_integer("lattice size", n, 2) for n in sizes]
+    if len(sizes) < least or len(set(sizes)) < len(sizes):
+        raise InvalidParameterError(f"need {least} or more distinct lattice sizes, got {sizes}")
+    return tuple(sorted(sizes))
+
+
+def _grid(name: str, values) -> tuple[float, ...]:
+    """A sweep axis: at least one value of exponent ``name``."""
+    grid = tuple(_exponent(name, v) for v in values)
+    if not grid:
+        raise InvalidParameterError(f"the {name} grid must hold at least one value")
+    return grid
 
 
 def size_scan(
@@ -481,10 +486,8 @@ def phase_diagram_sweep(
     finished cells.
     """
     workers = _check_workers(workers)
-    alphas = tuple(_exponent("alpha_t", a) for a in grid_alpha)
-    betas = tuple(_exponent("beta_s", b) for b in grid_beta)
-    if not alphas or not betas:
-        raise InvalidParameterError("alpha and beta grids must be non-empty")
+    alphas = _grid("alpha_t", grid_alpha)
+    betas = _grid("beta_s", grid_beta)
     ordered_sizes = _scan_sizes(sizes)
     cells = {
         (i, j): replace(

@@ -175,6 +175,17 @@ class TestRun:
         assert "distinct" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sizes", [[], [1, 32, 64]])
+    def test_bad_sizes_exit_2_before_compute(self, tmp_path, capsys, sizes):
+        cfg = run_config(tmp_path, sizes=sizes, sigma_window=4)
+        config = json.loads(cfg.read_text())
+        del config["N"], config["T"]
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "'sizes'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -192,6 +203,7 @@ class TestRun:
             ("beta_s", "0.5"),
             ("beta_s", 10**400),
             ("snapshot_times", [True]),
+            ("sigma_window", 0),
         ],
     )
     def test_malformed_time_list_exit_2_before_compute(self, tmp_path, capsys, field, value):
@@ -324,6 +336,11 @@ class TestPhaseDiagram:
             ("sigma_windw", 5, "sigma_windw"),
             ("grid_alpha", [True], "grid_alpha"),
             ("sizes", [32, "64", 128], "sizes"),
+            ("sizes", [], "'sizes'"),
+            ("sizes", [16, 32], "'sizes'"),
+            ("sizes", [1, 32, 64], "'sizes'"),
+            ("sigma_window", 0, "sigma_window"),
+            ("grid_beta", [-0.5], "grid_beta"),
         ],
     )
     def test_bad_grid_or_sizes_exit_2_before_compute(self, tmp_path, capsys, field, value, message):
@@ -356,6 +373,41 @@ class TestPhaseDiagram:
         err = capsys.readouterr().err
         assert str(cell) in err and "--force" in err
         assert main(["phase-diagram", "--config", str(cfg), "--out", str(out), "--force"]) == 0
+
+
+class TestManifestConfig:
+    """The resolved config a manifest records, which a replay reads back."""
+
+    ENSEMBLE = {"realizations": 2, "seed": 0, "sigma_window": 4, "normalize_variance": False,
+                "update_cap": 1_000_000_000}
+    RUN = {"N": None, "sizes": None, "T": None, "t_rule": "N/2", "alpha_t": 0.0, "beta_s": 0.0,
+           "snapshot_times": [], "fit_window": None, **ENSEMBLE}
+
+    @pytest.mark.parametrize(
+        "command, config, expected",
+        [
+            ("trace", {"nu": 1, "length": 16}, {"nu": 1.0, "length": 16, "seed": 0, "raw": False}),
+            ("run", {"N": 32, "alpha_t": 0, "beta_s": 0, "realizations": 2, "sigma_window": 4}, {**RUN, "N": 32}),
+            (
+                "run",
+                {"sizes": [16, 32, 64], "alpha_t": 0, "beta_s": 0, "realizations": 2, "sigma_window": 4},
+                {**RUN, "sizes": [16, 32, 64]},
+            ),
+            (
+                "phase-diagram",
+                {"grid_alpha": [0], "grid_beta": [0], "sizes": [16, 32, 64], "realizations": 2, "sigma_window": 4},
+                {"grid_alpha": [0.0], "grid_beta": [0.0], "sizes": [16, 32, 64], **ENSEMBLE},
+            ),
+        ],
+    )
+    def test_minimal_config_resolved_with_defaults(self, tmp_path, command, config, expected):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == expected
+        assert manifest["master_seed"] == 0
 
 
 class TestFlags:

@@ -208,26 +208,25 @@ class TestBatches:
             np.testing.assert_array_equal(batch.dispersion[b], alone.dispersion)
             np.testing.assert_array_equal(batch.mean_position[b], alone.mean_position)
 
-    def test_batch_size_from_lattice_realizations_and_workers(self):
-        assert _batch_size(64, 200, 2) == 50
-        assert _batch_size(256, 200, 2) == 16
-        assert _batch_size(1000, 200, 1) == 4
-        assert _batch_size(4000, 16, 1) == 1
-        assert _batch_size(20000, 8, 2) == 1
-        assert _batch_size(64, 3, 4) == 1
+    def test_batch_size_from_lattice_size(self):
+        table = {2: 2048, 64: 64, 256: 16, 1000: 4, 2000: 2, 4000: 1, 4096: 1, 20000: 1}
+        assert {N: _batch_size(N) for N in table} == table
 
-    def test_workers_give_identical_results_with_batches(self):
+    def test_workers_give_identical_results_with_batches(self, monkeypatch):
         config = small_config(N=40, T=36, alpha_t=4.0, beta_s=4.0, realizations=20, snapshot_times=(10, 36))
-        assert _batch_size(config.N, config.realizations, 1) == 10
-        assert _batch_size(config.N, config.realizations, 2) == 5
-        serial = run_ensemble(config, workers=1)
-        pooled = run_ensemble(config, workers=2)
-        np.testing.assert_array_equal(serial.stats.dispersion, pooled.stats.dispersion)
-        np.testing.assert_array_equal(serial.stats.mean_position, pooled.stats.mean_position)
-        for t in config.snapshot_times:
-            np.testing.assert_array_equal(serial.stats.snapshots[t], pooled.stats.snapshots[t])
-        assert serial.stats.boundary_contact_time == pooled.stats.boundary_contact_time
-        assert serial.contacted_realizations == pooled.contacted_realizations > 0
+        results = []
+        # B = 102 (one batch of 20), 10, 3 (the last batch holds 2) and 1.
+        for sites in (4096, 400, 120, 40):
+            monkeypatch.setattr(ensemble, "BATCH_SITES", sites)
+            results += [run_ensemble(config, workers=1), run_ensemble(config, workers=2)]
+        serial = results[0]
+        for other in results[1:]:
+            np.testing.assert_array_equal(serial.stats.dispersion, other.stats.dispersion)
+            np.testing.assert_array_equal(serial.stats.mean_position, other.stats.mean_position)
+            for t in config.snapshot_times:
+                np.testing.assert_array_equal(serial.stats.snapshots[t], other.stats.snapshots[t])
+            assert serial.stats.boundary_contact_time == other.stats.boundary_contact_time
+            assert serial.contacted_realizations == other.contacted_realizations > 0
 
     def test_averaged_snapshots_equal_full_lattice_stepping_exactly(self):
         # The profile average as computed before batching and windowing:
@@ -280,19 +279,6 @@ class TestRecordFrom:
     def test_outside_run_rejected(self, record_from):
         with pytest.raises(InvalidParameterError, match="record_from"):
             run_realization(32, 24, 2.0, 1.0, 5, record_from=record_from)
-        with pytest.raises(InvalidParameterError, match="record_from"):
-            run_ensemble(small_config(T=24), record_from=record_from)
-
-    def test_workers_identical_with_record_from(self):
-        config = small_config(N=40, T=36, alpha_t=4.0, beta_s=4.0, realizations=20)
-        serial = run_ensemble(config, workers=1, record_from=20)
-        pooled = run_ensemble(config, workers=2, record_from=20)
-        np.testing.assert_array_equal(serial.stats.dispersion, pooled.stats.dispersion)
-        np.testing.assert_array_equal(serial.stats.mean_position, pooled.stats.mean_position)
-        assert np.isnan(serial.stats.dispersion[:20]).all()
-        assert np.isfinite(serial.stats.dispersion[20:]).all()
-        assert serial.stats.boundary_contact_time == pooled.stats.boundary_contact_time
-        assert serial.contacted_realizations == pooled.contacted_realizations > 0
 
     def test_sweep_matches_scans_that_record_every_step(self, monkeypatch):
         base = small_config(realizations=3)
@@ -303,9 +289,9 @@ class TestRecordFrom:
         full_tasks = ensemble._tasks
         passed = []
 
-        def every_step(config, record_from, workers):
+        def every_step(config, record_from):
             passed.append(record_from)
-            return full_tasks(config, 0, workers)
+            return full_tasks(config, 0)
 
         monkeypatch.setattr(ensemble, "_tasks", every_step)
         full = phase_diagram_sweep([0.0, 4.0], [0.0, 4.0], **kwargs)
@@ -591,6 +577,23 @@ class TestTaskStream:
         # A sweep with every cell already computed starts no pool.
         phase_diagram_sweep(**self.SWEEP, workers=workers, out_dir=tmp_path)
         assert len(made) == pools
+
+    def test_tasks_generated_as_the_stream_reaches_them(self, monkeypatch):
+        real_tasks = ensemble._tasks
+        made = []
+
+        def recording(config, record_from):
+            made.append(config.N)
+            return real_tasks(config, record_from)
+
+        monkeypatch.setattr(ensemble, "_tasks", recording)
+        # N = 16 at R = 300: two batches (256 + 44) make up the first job.
+        jobs = [(small_config(N=n, T=8, realizations=300), 0) for n in (16, 32, 64)]
+        with ensemble._ensembles(jobs, 1) as results:
+            next(results)
+            assert made == [16]
+            assert len(list(results)) == 2
+        assert made == [16, 32, 64]
 
     def test_sweep_files_identical_for_any_worker_count(self, tmp_path):
         files = {}
