@@ -2,9 +2,10 @@
 
 Configuration comes from a JSON file and/or a named preset; command-line
 flags override file fields.  Every command validates its whole
-configuration, writes a manifest, then deterministic CSV data files, so
-re-running from the manifest reproduces the data byte for byte.  Exit
-codes: 0 success, 2 configuration error, 1 runtime error.
+configuration, then writes a manifest and deterministic CSV data files
+(``phase-diagram`` writes its manifest last), so re-running from the
+manifest reproduces the data byte for byte.  Exit codes: 0 success,
+2 configuration error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ def _load_config_file(path: str, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(payload, dict):
@@ -283,7 +284,8 @@ def _cmd_run(args) -> int:
     sizes = config["sizes"]
     if sizes is not None:
         _checked("sizes", _scan_sizes, sizes, 1)
-    N = config["N"] if sizes is None else sizes[0]
+    # With sizes, the largest run, whose traces are the longest.
+    N = config["N"] if sizes is None else max(sizes)
     horizon = partial(_time_horizon, T=config["T"], t_rule=config["t_rule"])
     first = _ensemble_config(
         config, N, horizon(N), config["alpha_t"], config["beta_s"],
@@ -356,12 +358,12 @@ def _cmd_phase_diagram(args) -> int:
     sizes = _checked("sizes", _scan_sizes, config["sizes"])
     alphas = _checked("grid_alpha", _grid, "alpha_t", config["grid_alpha"])
     betas = _checked("grid_beta", _grid, "beta_s", config["grid_beta"])
-    # The first cell's first run; the sweep derives every other run from it.
-    first = _ensemble_config(config, sizes[0], sizes[0] // 2, alphas[0], betas[0])
+    # The first cell's largest run, whose traces are the longest; the sweep
+    # derives every other run from it.
+    first = _ensemble_config(config, sizes[-1], sizes[-1] // 2, alphas[0], betas[0])
     _checked("sigma_window", size_configs, first, sizes, config["sigma_window"])
-    _write_manifest(out_dir, "phase-diagram", config, config["seed"])
 
-    sweep = phase_diagram_sweep(
+    cells = phase_diagram_sweep(
         config["grid_alpha"],
         config["grid_beta"],
         first,
@@ -371,7 +373,9 @@ def _cmd_phase_diagram(args) -> int:
         out_dir=out_dir,
         force=args.force,
     )
-    path = io.write_sweep_csv(out_dir / "grid.csv", sweep)
+    path = io.write_sweep_csv(out_dir / "grid.csv", cells)
+    # Last, so that a sweep refused on resume leaves the manifest of its data.
+    _write_manifest(out_dir, "phase-diagram", config, config["seed"])
     print(f"wrote {path}")
     return 0
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io
 from .errors import InvalidParameterError, ResourceLimitError, _exponent, _integer, _is_int, _is_real
-from .noise import _check_seed, derive_seed, generate_coin_phases
+from .noise import _check_seed, _mode_scale, derive_seed, generate_coin_phases
 from .observables import (
     RegimeLabel,
     TrajectoryStats,
@@ -70,18 +70,23 @@ class EnsembleConfig:
     update_cap: int = DEFAULT_UPDATE_CAP
 
     def __post_init__(self) -> None:
-        _integer("N", self.N, 2)
-        _integer("T", self.T, 1)
-        _exponent("alpha_t", self.alpha_t)
-        _exponent("beta_s", self.beta_s)
-        _integer("realizations", self.realizations, 1)
-        _check_seed(self.master_seed)
-        times = tuple(_integer("snapshot_times entry", t, 0, self.T) for t in self.snapshot_times)
-        object.__setattr__(self, "snapshot_times", times)
+        checked = {
+            "N": _integer("N", self.N, 2),
+            "T": _integer("T", self.T, 1),
+            "alpha_t": _exponent("alpha_t", self.alpha_t),
+            "beta_s": _exponent("beta_s", self.beta_s),
+            "realizations": _integer("realizations", self.realizations, 1),
+            "master_seed": _check_seed(self.master_seed),
+            "snapshot_times": tuple(_integer("snapshot_times entry", t, 0, self.T) for t in self.snapshot_times),
+            "update_cap": _integer("update_cap", self.update_cap, 1),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if not isinstance(self.normalize_variance, bool):
             raise InvalidParameterError(f"normalize_variance must be a bool, got {self.normalize_variance!r}")
-        _integer("update_cap", self.update_cap, 1)
-        updates = int(self.N) * int(self.T)  # a numpy integer product could wrap
+        _mode_scale("alpha_t", self.alpha_t, self.T)
+        _mode_scale("beta_s", self.beta_s, self.N)
+        updates = self.N * self.T
         if updates > self.update_cap:
             raise ResourceLimitError(
                 f"N*T = {updates} exceeds the configured cap of {self.update_cap} "
@@ -398,24 +403,6 @@ def _scan_points(configs, results) -> list[tuple[int, float]]:
     return points
 
 
-@dataclass
-class SweepResult:
-    """Grid of fitted size-scaling exponents and their regime labels."""
-
-    alphas: tuple[float, ...]
-    betas: tuple[float, ...]
-    gamma: np.ndarray
-    stderr: np.ndarray
-    regimes: list[list[RegimeLabel]]
-    points: dict[tuple[int, int], list[tuple[int, float]]]
-
-    def rows(self):
-        """Yield ``(alpha, beta, gamma, stderr, regime)`` in grid order."""
-        for i, a in enumerate(self.alphas):
-            for j, b in enumerate(self.betas):
-                yield a, b, float(self.gamma[i, j]), float(self.stderr[i, j]), self.regimes[i][j]
-
-
 _REGIMES = [label.value for label in RegimeLabel]
 
 # What each result field of a cell file must hold.
@@ -466,91 +453,68 @@ def phase_diagram_sweep(
     workers: int | None = None,
     out_dir: str | Path | None = None,
     force: bool = False,
-) -> SweepResult:
+) -> list[dict]:
     """Fit the size-scaling exponent over an ``(alpha_t, beta_s)`` grid.
 
     Every cell runs an independent size scan (seeded from the base master
     seed and the cell indices, averaging over ``size_scan``'s horizon-
-    proportional windows), fits gamma, and classifies the regime.  With
-    ``out_dir`` set, each completed cell is written atomically as JSON
-    under ``cells/``, with the settings it was computed with (averaging
-    window per size, derived master seed, realization count, variance
-    normalisation), and re-runs skip cells whose files already exist
-    unless ``force`` is true.  A cell file that cannot be read, or whose
-    results, sizes or settings differ from this sweep's, is refused rather
-    than mixed into the grid.  Every cell's configuration is validated,
-    and every existing cell file loaded, before any cell is computed or
-    written.  The cells still to compute share one task stream (and with
-    ``workers`` > 1 one worker pool); each cell is written as soon as its
-    last size is reduced, so an interrupted sweep resumes from its
-    finished cells.
+    proportional windows), fits gamma, and classifies the regime.  Returns
+    one record per cell in grid order (alpha outer, beta inner): the dict
+    its cell file holds, with the settings it was computed with (alpha,
+    beta, derived master seed, realization count, variance normalisation,
+    averaging window per size) and its gamma, stderr, regime label and
+    ``[N, sigma_bar]`` points.  With ``out_dir`` set, each completed cell
+    is written atomically as JSON under ``cells/``, and re-runs reuse
+    cells whose files already exist unless ``force`` is true.  A cell file
+    that cannot be read, or whose results, sizes or settings differ from
+    this sweep's, is refused rather than mixed into the grid.  Every cell's
+    configuration is validated, and every existing cell file loaded, before
+    any cell is computed or written.  The cells still to compute share one
+    task stream (and with ``workers`` > 1 one worker pool); each cell is
+    written as soon as its last size is reduced, so an interrupted sweep
+    resumes from its finished cells.
     """
     workers = _check_workers(workers)
     alphas = _grid("alpha_t", grid_alpha)
     betas = _grid("beta_s", grid_beta)
     ordered_sizes = _scan_sizes(sizes)
-    cells = {
-        (i, j): replace(
-            base, alpha_t=alpha, beta_s=beta, master_seed=derive_seed(base.master_seed, "cell", i, j)
-        )
-        for i, alpha in enumerate(alphas)
-        for j, beta in enumerate(betas)
-    }
     # Every cell's runs are validated before the first is computed.  A cell
     # differs from ``base`` only in its exponents, checked above, and its
     # seed, so its runs and windows are those of ``base``.
     windows = [[cfg.N, window] for cfg, window in size_configs(base, ordered_sizes, window_len)]
 
-    done: dict[tuple[int, int], dict] = {}
+    records = []
     pending = []
-    for (i, j), cell_base in cells.items():
-        alpha, beta = cell_base.alpha_t, cell_base.beta_s
-        cell_file = Path(out_dir, "cells", f"cell_{i:03d}_{j:03d}.json") if out_dir is not None else None
-        settings = {
-            "alpha": alpha,
-            "beta": beta,
-            "master_seed": cell_base.master_seed,
-            "realizations": base.realizations,
-            "normalize_variance": base.normalize_variance,
-            "windows": windows,
-        }
-        if cell_file is not None and cell_file.exists() and not force:
-            done[(i, j)] = _load_cell(cell_file, {"sizes": list(ordered_sizes), **settings})
-            log.info("cell (alpha=%g, beta=%g): reusing %s", alpha, beta, cell_file)
-        else:
-            pending.append(((i, j), cell_file, settings, size_configs(cell_base, ordered_sizes, window_len)))
+    for i, alpha in enumerate(alphas):
+        for j, beta in enumerate(betas):
+            cell_base = replace(
+                base, alpha_t=alpha, beta_s=beta, master_seed=derive_seed(base.master_seed, "cell", i, j)
+            )
+            cell_file = Path(out_dir, "cells", f"cell_{i:03d}_{j:03d}.json") if out_dir is not None else None
+            record = {
+                "alpha": alpha,
+                "beta": beta,
+                "master_seed": cell_base.master_seed,
+                "realizations": base.realizations,
+                "normalize_variance": base.normalize_variance,
+                "windows": windows,
+            }
+            if cell_file is not None and cell_file.exists() and not force:
+                record = _load_cell(cell_file, {"sizes": list(ordered_sizes), **record})
+                log.info("cell (alpha=%g, beta=%g): reusing %s", alpha, beta, cell_file)
+            else:
+                pending.append((record, cell_file, size_configs(cell_base, ordered_sizes, window_len)))
+            records.append(record)
 
     jobs = [job for *_, configs in pending for job in _windowed(configs)]
     with _ensembles(jobs, workers) as results:
-        for (i, j), cell_file, settings, configs in pending:
+        for record, cell_file, configs in pending:
             cell_points = _scan_points(configs, results)
             g, se = fit_gamma(cell_points)
-            done[(i, j)] = cell = {
-                **settings,
-                "gamma": g,
-                "stderr": se,
-                "regime": classify_regime(g).value,
-                "points": [[n, s] for n, s in cell_points],
-            }
+            record.update(
+                gamma=g, stderr=se, regime=classify_regime(g).value, points=[[n, s] for n, s in cell_points]
+            )
             if cell_file is not None:
-                io.write_json(cell_file, cell)
-            log.info("cell (alpha=%g, beta=%g): gamma=%.4f (%s)", cell["alpha"], cell["beta"], g, cell["regime"])
-
-    gamma = np.empty((len(alphas), len(betas)))
-    stderr = np.empty_like(gamma)
-    regimes: list[list[RegimeLabel]] = [[RegimeLabel.DIFFUSIVE] * len(betas) for _ in alphas]
-    points: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    for (i, j), cell in done.items():
-        gamma[i, j] = cell["gamma"]
-        stderr[i, j] = cell["stderr"]
-        regimes[i][j] = RegimeLabel(cell["regime"])
-        points[(i, j)] = [(int(n), float(s)) for n, s in cell["points"]]
-
-    return SweepResult(
-        alphas=alphas,
-        betas=betas,
-        gamma=gamma,
-        stderr=stderr,
-        regimes=regimes,
-        points=points,
-    )
+                io.write_json(cell_file, record)
+            log.info("cell (alpha=%g, beta=%g): gamma=%.4f (%s)", record["alpha"], record["beta"], g, record["regime"])
+    return records

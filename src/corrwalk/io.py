@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +23,6 @@ def format_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, Enum):
-        return str(value.value)
     return str(value)
 
 
@@ -76,6 +73,7 @@ def write_phase_csv(path, values, value_label: str = "V") -> Path:
     return write_csv(path, ("j", value_label), rows)
 
 
-def write_sweep_csv(path, sweep) -> Path:
-    """Dump a sweep grid as ``alpha,beta,gamma,stderr,regime`` rows."""
-    return write_csv(path, ("alpha", "beta", "gamma", "stderr", "regime"), sweep.rows())
+def write_sweep_csv(path, cells) -> Path:
+    """Dump sweep cell records as ``alpha,beta,gamma,stderr,regime`` rows."""
+    header = ("alpha", "beta", "gamma", "stderr", "regime")
+    return write_csv(path, header, ([cell[key] for key in header] for cell in cells))

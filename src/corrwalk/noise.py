@@ -10,6 +10,7 @@ more strongly correlated sequences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,8 @@ def generate_fbm_trace(n: int, nu: float, seed: int, *, normalize: bool = False)
     phasors, in O(M log M).  ``M`` is ``n``, padded to ``n + 1`` for an odd
     ``n``: truncating the padded trace preserves its correlation structure.
     Raises ``InvalidParameterError`` unless ``n`` is a positive integer,
-    ``nu`` finite and >= 0, and ``seed`` an unsigned 64-bit integer.
+    ``nu`` finite and >= 0 (and its amplitudes finite, ``_mode_scale``),
+    and ``seed`` an unsigned 64-bit integer.
 
     With ``normalize`` the length-``M`` trace is rescaled to zero mean and
     unit sample variance before it is truncated.  Off by default: the raw
@@ -110,11 +112,12 @@ def generate_fbm_trace(n: int, nu: float, seed: int, *, normalize: bool = False)
     """
     n = _integer("trace length", n, 1)
     nu = _exponent("nu", nu)
+    scale = _mode_scale("nu", nu, n)
     M = n + n % 2
     rng = np.random.default_rng(_check_seed(seed))
     mode_phases = rng.uniform(0.0, TWO_PI, M // 2)
     k = np.arange(1, M // 2 + 1)
-    amps = np.sqrt((TWO_PI / M) ** (1.0 - nu) * k ** (-nu))
+    amps = np.sqrt(scale * k ** (-nu))
 
     modes = np.zeros(M, dtype=np.complex128)
     modes[1 : M // 2 + 1] = amps * np.exp(1j * mode_phases)
@@ -130,6 +133,21 @@ def generate_fbm_trace(n: int, nu: float, seed: int, *, normalize: bool = False)
     if normalize:
         trace = (trace - trace.mean()) / trace.std()
     return trace[:n]
+
+
+def _mode_scale(name: str, nu: float, n: int) -> float:
+    """``(2*pi/M)**(1 - nu)``, the squared first and largest mode amplitude
+    of the trace of length ``n`` (``M`` as in ``generate_fbm_trace``) for
+    exponent ``nu``; refused unless it and ``M/2`` times its root, which
+    bounds the amplitude sum and so every trace value, are finite in float64."""
+    M = n + n % 2
+    try:
+        scale = (TWO_PI / M) ** (1.0 - nu)
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(M // 2 * math.sqrt(scale)):
+        raise InvalidParameterError(f"{name} = {nu!r} overflows float64 in a correlated trace of length {n}")
+    return scale
 
 
 def squash_to_phase(trace) -> np.ndarray:

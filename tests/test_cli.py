@@ -118,6 +118,19 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(N=64, T=4000, alpha_t=150.0), "alpha_t = 150.0"),
+        # beta_s = 150 overflows at N = 1000 only.
+        (dict(N=None, T=None, sizes=[16, 32, 1000], beta_s=150.0), "beta_s = 150.0"),
+    ])
+    def test_exponent_whose_trace_overflows_exit_2_before_any_output(self, tmp_path, capsys, overrides, message):
+        cfg = run_config(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "sigma_window" not in err
+        assert not out.exists()
+
     def test_manifest_reruns_byte_identical(self, tmp_path):
         cfg = run_config(tmp_path)
         out = tmp_path / "out"
@@ -305,6 +318,7 @@ class TestPhaseDiagram:
         cfg = self.write_sweep_config(tmp_path)
         out = tmp_path / "out"
         assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = (out / "manifest.json").read_bytes()
         cell = out / "cells" / "cell_000_000.json"
         payload = json.loads(cell.read_text())
         del payload["windows"]
@@ -312,6 +326,7 @@ class TestPhaseDiagram:
         assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "cell_000_000.json" in err and "--force" in err
+        assert (out / "manifest.json").read_bytes() == manifest
 
 
     def test_window_longer_than_shortest_run_exit_2_before_compute(self, tmp_path, capsys):
@@ -353,15 +368,30 @@ class TestPhaseDiagram:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # beta_s = 400 overflows at N = 64 and 128, not at N = 32.
+    @pytest.mark.parametrize("grid_beta", [[400.0], [0.0, 400.0]])
+    def test_grid_value_whose_trace_overflows_exit_2_before_any_output(self, tmp_path, capsys, grid_beta):
+        cfg = self.write_sweep_config(tmp_path)
+        config = json.loads(cfg.read_text())
+        config["grid_beta"] = grid_beta
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "beta_s = 400.0" in err and "sigma_window" not in err
+        assert not out.exists()
+
     def test_resume_with_another_seed_exit_2(self, tmp_path, capsys):
         cfg = self.write_sweep_config(tmp_path)
         out = tmp_path / "out"
         assert main(["phase-diagram", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
         grid = (out / "grid.csv").read_bytes()
+        manifest = (out / "manifest.json").read_bytes()
         assert main(["phase-diagram", "--config", str(cfg), "--out", str(out), "--seed", "99"]) == 2
         err = capsys.readouterr().err
         assert "cell_000_000.json" in err and "master_seed" in err and "--force" in err
         assert (out / "grid.csv").read_bytes() == grid
+        assert (out / "manifest.json").read_bytes() == manifest
 
     def test_truncated_cell_exit_2(self, tmp_path, capsys):
         cfg = self.write_sweep_config(tmp_path)
@@ -373,6 +403,20 @@ class TestPhaseDiagram:
         err = capsys.readouterr().err
         assert str(cell) in err and "--force" in err
         assert main(["phase-diagram", "--config", str(cfg), "--out", str(out), "--force"]) == 0
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("make", [
+        lambda path: path.write_bytes(b'{"N": 64, "alpha_t": 0.0, "beta_s": 0.0, "note": "\xff"}'),
+        lambda path: path.mkdir(),
+    ], ids=["not-utf-8", "directory"])
+    def test_unreadable_config_exit_2_naming_the_path(self, tmp_path, capsys, make):
+        cfg = tmp_path / "config.json"
+        make(cfg)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert str(cfg) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestManifestConfig:

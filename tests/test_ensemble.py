@@ -69,6 +69,22 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError):
             small_config(beta_s=float("nan"))
 
+    def test_stores_plain_int_and_float_fields(self, tmp_path):
+        config = EnsembleConfig(N=np.int64(16), T=np.int32(8), alpha_t=np.float32(0.5), beta_s=np.int64(0),
+                                realizations=np.int64(2), master_seed=np.uint64(7), update_cap=np.int64(10**9))
+        for name, kind in [("N", int), ("T", int), ("alpha_t", float), ("beta_s", float),
+                           ("realizations", int), ("master_seed", int), ("update_cap", int)]:
+            assert type(getattr(config, name)) is kind, name
+        cells = phase_diagram_sweep([0.0], [0.0], config, (16, 32, 64), window_len=4, out_dir=tmp_path)
+        assert cells == [json.loads((tmp_path / "cells" / "cell_000_000.json").read_text())]
+
+    def test_rejects_exponent_whose_trace_overflows(self):
+        with pytest.raises(InvalidParameterError, match="alpha_t = 150.0.*length 4000"):
+            EnsembleConfig(N=64, T=4000, alpha_t=150.0, beta_s=0.0, realizations=2)
+        with pytest.raises(InvalidParameterError, match="beta_s = 400.0.*length 64"):
+            small_config(beta_s=400.0)
+        EnsembleConfig(N=32_000, T=160_000, alpha_t=4.0, beta_s=4.0, update_cap=10**10)
+
     def test_rejects_snapshot_outside_run(self):
         with pytest.raises(InvalidParameterError):
             small_config(snapshot_times=(40,))
@@ -297,9 +313,8 @@ class TestRecordFrom:
         full = phase_diagram_sweep([0.0, 4.0], [0.0, 4.0], **kwargs)
         # T = 16, 32, 64 with windows 8, 16, 32.
         assert passed == [9, 17, 33] * 4
-        np.testing.assert_array_equal(windowed.gamma, full.gamma)
-        np.testing.assert_array_equal(windowed.stderr, full.stderr)
-        assert windowed.points == full.points
+        for key in ("gamma", "stderr", "points"):
+            assert [cell[key] for cell in windowed] == [cell[key] for cell in full]
 
 
 class TestEnsemblePhysics:
@@ -392,8 +407,8 @@ class TestPhaseDiagramSweep:
             window_len=8,
             out_dir=tmp_path,
         )
-        assert sweep.gamma.shape == (1, 1)
-        assert isinstance(sweep.regimes[0][0], RegimeLabel)
+        assert len(sweep) == 1
+        assert sweep[0]["regime"] in [label.value for label in RegimeLabel]
         assert (tmp_path / "cells" / "cell_000_000.json").exists()
 
     def test_bad_cell_rejected_before_any_cell_is_written(self, tmp_path):
@@ -420,8 +435,8 @@ class TestPhaseDiagramSweep:
         cell.write_text(json.dumps(payload))
 
         second = phase_diagram_sweep([0.0, 1.0], [0.0], **kwargs)
-        assert second.gamma[1, 0] == 123.0
-        assert second.gamma[0, 0] == first.gamma[0, 0]
+        assert second[1]["gamma"] == 123.0
+        assert second[0]["gamma"] == first[0]["gamma"]
 
     def test_force_recomputes(self, tmp_path):
         kwargs = dict(
@@ -437,7 +452,7 @@ class TestPhaseDiagramSweep:
         cell.write_text(json.dumps(payload))
 
         forced = phase_diagram_sweep([0.0], [0.0], force=True, **kwargs)
-        assert forced.gamma[0, 0] == first.gamma[0, 0]
+        assert forced[0]["gamma"] == first[0]["gamma"]
 
     def test_mismatched_cell_file_rejected(self, tmp_path):
         kwargs = dict(
@@ -487,8 +502,22 @@ class TestPhaseDiagramSweep:
         base = small_config(realizations=4)
         a = phase_diagram_sweep([0.0, 2.0], [1.0], base, sizes=(32, 64, 128), window_len=8)
         b = phase_diagram_sweep([0.0, 2.0], [1.0], base, sizes=(32, 64, 128), window_len=8)
-        np.testing.assert_array_equal(a.gamma, b.gamma)
-        assert a.regimes == b.regimes
+        assert a == b
+
+    def test_records_are_the_cell_files_in_grid_order(self, tmp_path):
+        kwargs = dict(base=small_config(realizations=2), sizes=(16, 32, 64), window_len=4)
+        files = [tmp_path / "cells" / name for name in ("cell_000_000.json", "cell_001_000.json")]
+        computed = phase_diagram_sweep([0.0, 2.0], [1.0], out_dir=tmp_path, **kwargs)
+        assert computed == [json.loads(f.read_text()) for f in files]
+        resumed = phase_diagram_sweep([0.0, 2.0], [1.0], out_dir=tmp_path, **kwargs)
+        assert resumed == [json.loads(f.read_text()) for f in files]
+        assert phase_diagram_sweep([0.0, 2.0], [1.0], **kwargs) == computed
+
+    def test_grid_value_whose_trace_overflows_refused_before_any_cell(self, tmp_path):
+        # beta_s = 400 is fine at N = 16 and 32 but overflows at N = 64.
+        with pytest.raises(InvalidParameterError, match="beta_s = 400.0.*length 64"):
+            phase_diagram_sweep([0.0], [0.0, 400.0], small_config(), (16, 32, 64), window_len=4, out_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_rejects_empty_grid(self):
         with pytest.raises(InvalidParameterError):
@@ -527,7 +556,7 @@ class TestPhaseDiagramSweep:
         with pytest.raises(InvalidParameterError, match="cell_000_000.json.*--force"):
             self._one_cell(tmp_path)
         forced = self._one_cell(tmp_path, force=True)
-        assert json.loads(cell.read_text())["gamma"] == forced.gamma[0, 0]
+        assert json.loads(cell.read_text())["gamma"] == forced[0]["gamma"]
 
 
 class TestCellFileTypes:
@@ -629,6 +658,6 @@ class TestTaskStream:
         payload["gamma"] = 123.0  # sentinel: resume must trust the file
         first.write_text(json.dumps(payload))
         resumed = phase_diagram_sweep(**self.SWEEP, workers=2, out_dir=out)
-        assert resumed.gamma[0, 0] == 123.0
-        np.testing.assert_array_equal(resumed.gamma.flat[1:], reference.gamma.flat[1:])
+        assert resumed[0]["gamma"] == 123.0
+        assert [cell["gamma"] for cell in resumed[1:]] == [cell["gamma"] for cell in reference[1:]]
         assert not multiprocessing.active_children()

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from corrwalk.observables import RegimeLabel
 from corrwalk.io import format_value, write_csv, write_json, write_phase_csv
 
 
@@ -14,7 +13,6 @@ def test_format_value_kinds():
     assert format_value(3) == "3"
     assert format_value(np.int64(7)) == "7"
     assert format_value(True) == "true"
-    assert format_value(RegimeLabel.BALLISTIC) == "ballistic"
     assert format_value("abc") == "abc"
 
 

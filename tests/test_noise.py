@@ -31,6 +31,15 @@ class TestFbmTrace:
         with pytest.raises(InvalidParameterError):
             generate_fbm_trace(100, 0.0, -1)
 
+    def test_rejects_exponent_whose_amplitudes_overflow(self):
+        # (2*pi/M)**(1 - nu) overflows a float64 at M = 4000, nu = 140.
+        with pytest.raises(InvalidParameterError, match="nu = 140.0.*length 4000"):
+            generate_fbm_trace(4000, 140.0, 1)
+
+    @pytest.mark.parametrize("n", [2_000, 32_000, 160_000])
+    def test_paper_lengths_accept_exponents_up_to_4(self, n):
+        assert np.isfinite(generate_fbm_trace(n, 4.0, 1)).all()
+
     def test_two_point_trace_closed_form(self):
         # Single-mode sum: value at j is sqrt(pi) * cos(pi*j + mu_1).
         mu1 = np.random.default_rng(99).uniform(0.0, TWO_PI, 1)[0]
