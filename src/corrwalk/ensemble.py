@@ -27,14 +27,15 @@ from .noise import _check_seed, _mode_scale, derive_seed, generate_coin_phases
 from .observables import (
     RegimeLabel,
     TrajectoryStats,
-    centred_moments,
+    centred_sums,
     classify_regime,
+    finish_moments,
     fit_gamma,
     longtime_avg_dispersion,
     probability_profile,
     scaled_windows,
 )
-from .walk import WalkerState, evolve, initial_state_symmetric, light_cone, support
+from .walk import WalkerState, evolve, initial_state_symmetric, light_cone, stepped_columns, support
 
 log = logging.getLogger(__name__)
 
@@ -107,12 +108,15 @@ class EnsembleResult:
 class _StatsRecorder:
     """Per-step observer recording dispersion, mean, snapshots, edge contact.
 
-    Works row by row on a ``(B, N)`` batch and, at step ``t``, reads only
-    the light cone ``t`` steps from the state it was built from: outside it
-    every probability is zero.  Mean and dispersion are recorded from step
-    ``record_from`` on and stay NaN before it, in one pass centred on the
-    start support (``centred_moments``).  The profile is formed only at
-    snapshot times and at the chain ends once the cone reaches them.
+    Works row by row on a ``(B, N)`` batch.  At step ``t`` it squares the
+    columns ``evolve`` stepped (``stepped_columns``: whole rows of a batch,
+    the light cone of one walker) and sums only over the light cone ``t``
+    steps from the state it was built from: outside it every probability
+    is zero.  The sums of mean and dispersion are recorded from step
+    ``record_from`` on, centred on the start support (``centred_sums``),
+    and ``finish`` turns them into mean and sigma once per run; before
+    ``record_from`` both stay NaN.  The profile is formed only at snapshot
+    times and at the chain ends once the cone reaches them.
     """
 
     def __init__(self, state, T: int, snapshot_times, record_from: int = 0) -> None:
@@ -122,16 +126,18 @@ class _StatsRecorder:
         # Offsets from the centre and their squares, per float of a (re, im) row.
         offsets = np.repeat(np.arange(1.0, N + 1.0) - self.centre, 2)
         self.offsets = np.stack([offsets, offsets * offsets])
-        self.squares = np.empty((B, 2, 2 * N))
-        self.sigma = np.full((B, T + 1), np.nan)
+        self.squares = np.empty((2, B, 2 * N))
+        # The sums a and b until ``finish``, then mean and sigma.
         self.mean = np.full((B, T + 1), np.nan)
+        self.sigma = np.full((B, T + 1), np.nan)
         self.record_from = record_from
         self.snapshot_times = frozenset(int(t) for t in snapshot_times)
         self.snapshots: dict[int, np.ndarray] = {}
         self.contact = np.full(B, -1)
 
     def record(self, t: int, state) -> None:
-        N = state.up.shape[-1]
+        shape = state.up.shape
+        N = shape[-1]
         cone = light_cone(self.start, t, N)
         # Before the cone reaches a chain end both end sites hold exactly 0.
         if cone.start == 0 or cone.stop == N:
@@ -140,12 +146,17 @@ class _StatsRecorder:
         if t in self.snapshot_times:
             self.snapshots[t] = probability_profile(state)
         if t >= self.record_from:
-            # Row b: the squared (re, im) floats of up[b], then of down[b].
+            # squares[0, b] and squares[1, b]: the squared (re, im) floats of up[b] and of down[b].
+            stepped = stepped_columns(self.start, t, shape)
+            cols = slice(2 * stepped.start, 2 * stepped.stop)
+            np.square(state.up[:, stepped].view(np.float64), out=self.squares[0, :, cols])
+            np.square(state.down[:, stepped].view(np.float64), out=self.squares[1, :, cols])
             cols = slice(2 * cone.start, 2 * cone.stop)
-            sq = self.squares[..., cols]
-            np.square(state.up[:, cone].view(np.float64), out=sq[:, 0])
-            np.square(state.down[:, cone].view(np.float64), out=sq[:, 1])
-            self.mean[:, t], self.sigma[:, t] = centred_moments(sq, *self.offsets[:, cols], self.centre)
+            centred_sums(self.squares[..., cols], *self.offsets[:, cols], out=(self.mean[:, t], self.sigma[:, t]))
+
+    def finish(self) -> None:
+        """Turn the recorded sums into mean and sigma."""
+        finish_moments(self.centre, self.mean[:, self.record_from:], self.sigma[:, self.record_from:])
 
 
 def run_realization(
@@ -191,6 +202,7 @@ def run_realization(
     recorder = _StatsRecorder(state, T, snapshot_times, record_from)
     recorder.record(0, state)
     evolve(state, phases, T, observer=recorder.record)
+    recorder.finish()
     contact = tuple(int(c) if c >= 0 else None for c in recorder.contact)
     row = 0 if single else slice(None)
     return TrajectoryStats(
@@ -427,7 +439,7 @@ def _load_cell(path: Path, fingerprint: dict) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cell = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidParameterError(f"{path} is not a readable cell file ({exc}); {redo}")
     if not isinstance(cell, dict) or not _CELL_FIELDS.keys() <= cell.keys():
         raise InvalidParameterError(f"{path} is not a complete cell file; {redo}")

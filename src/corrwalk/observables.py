@@ -62,27 +62,41 @@ def probability_profile(state: WalkerState) -> np.ndarray:
     return up.real**2 + up.imag**2 + down.real**2 + down.imag**2
 
 
-def centred_moments(weights, offsets, offsets_sq, centre):
-    """Mean site and dispersion of each row ``weights[i]``, in one pass.
+def centred_sums(weights, offsets, offsets_sq, out=(None, None)):
+    """The sums ``a`` and ``b`` of each row ``weights[:, i]`` times the offsets.
 
-    ``weights`` has shape ``(rows, k, n)``, and along its last axis
-    ``offsets`` are the sites minus ``centre``, ``offsets_sq`` their
-    squares.  With ``a`` and ``b`` the sums of a row times each, the mean
-    is ``centre + a`` and sigma ``sqrt(max(b - a**2, 0))``; the variance's
-    rounding error grows as ``((mean - centre) / sigma)**2``.  ``einsum``
+    ``weights`` has shape ``(k, rows, n)``, and along its last axis
+    ``offsets`` are the sites minus a centre ``c``, ``offsets_sq`` their
+    squares; ``out`` may name the two ``(rows,)`` arrays to write.
+    ``finish_moments`` turns the sums into mean and dispersion.  ``einsum``
     row sums, unlike ``np.dot``, do not depend on the other rows.
     """
-    a = np.einsum("ikj,j->i", weights, offsets)
-    b = np.einsum("ikj,j->i", weights, offsets_sq)
-    return centre + a, np.sqrt(np.maximum(b - a * a, 0.0))
+    a = np.einsum("kij,j->i", weights, offsets, out=out[0])
+    b = np.einsum("kij,j->i", weights, offsets_sq, out=out[1])
+    return a, b
+
+
+def finish_moments(centre, a, b):
+    """Mean ``c + a`` and sigma ``sqrt(max(b - a**2, 0))`` from ``centred_sums``.
+
+    Written in place over ``a`` and ``b``, which are returned.  The
+    variance's rounding error grows as ``((mean - c) / sigma)**2``; a NaN
+    sum gives a NaN moment.
+    """
+    np.subtract(b, a * a, out=b)
+    np.maximum(b, 0.0, out=b)
+    np.sqrt(b, out=b)
+    np.add(a, centre, out=a)
+    return a, b
 
 
 def dispersion(profile) -> tuple[float, float]:
     """Mean site and spread of a probability profile over sites ``1 .. N``.
 
     Returns ``(mean, sigma)`` with ``mean = sum n P_n`` and
-    ``sigma = sqrt(sum (n - mean)^2 P_n)``, by ``centred_moments`` about the
-    most probable site ``c``: as ``P_c >= 1/N``, ``|mean - c| <= sigma sqrt(N)``.
+    ``sigma = sqrt(sum (n - mean)^2 P_n)``, by ``centred_sums`` and
+    ``finish_moments`` about the most probable site ``c``: as
+    ``P_c >= 1/N``, ``|mean - c| <= sigma sqrt(N)``.
 
     Raises
     ------
@@ -100,7 +114,7 @@ def dispersion(profile) -> tuple[float, float]:
         raise InvalidParameterError(f"profile sums to {total!r}, expected 1 within 1e-8")
     centre = float(np.argmax(p) + 1)
     offsets = np.arange(1.0, p.size + 1.0) - centre
-    mean, sigma = centred_moments(p[None, None], offsets, offsets * offsets, centre)
+    mean, sigma = finish_moments(centre, *centred_sums(p[None, None], offsets, offsets * offsets))
     return float(mean[0]), float(sigma[0])
 
 

@@ -79,9 +79,8 @@ def light_cone(start: tuple[int, int], steps: int, N: int) -> slice:
 
     Each step widens the support ``start`` (as from ``support``) by one
     site on either side.  Once that reaches a chain end the periodic wrap
-    can carry amplitude anywhere, so the cone is the whole lattice.  Step
-    ``t`` of ``evolve`` updates exactly the columns of cone ``t``, and
-    everything outside them is zero.
+    can carry amplitude anywhere, so the cone is the whole lattice.
+    Everything outside cone ``t`` is zero after step ``t`` of ``evolve``.
     """
     lo, hi = start[0] - steps, start[1] + steps
     if lo < 0 or hi >= N:
@@ -89,21 +88,43 @@ def light_cone(start: tuple[int, int], steps: int, N: int) -> slice:
     return slice(lo, hi + 1)
 
 
+def stepped_columns(start: tuple[int, int], t: int, shape: tuple[int, ...]) -> slice:
+    """Columns that step ``t`` updates in an array of ``shape``.
+
+    A batch (``B > 1`` rows) steps its whole rows, so that every operand
+    is contiguous; the cone columns of a ``(B, N)`` array are a strided
+    view, on which numpy's loops cost about twice as much per element at
+    ``B >= 4``.  One walker, ``(N,)`` or ``(1, N)``, steps
+    ``light_cone(start, t, N)``, which is already contiguous.
+    """
+    if len(shape) == 2 and shape[0] > 1:
+        return slice(0, shape[-1])
+    return light_cone(start, t, shape[-1])
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """A 1-D view of a contiguous array; raises ``AttributeError`` where a
+    reshape would copy, and so a write into it would be lost."""
+    flat = a.view()
+    flat.shape = (a.size,)
+    return flat
+
+
 def _step_kernel(u, d, exp_theta, exp_phi_scaled, out_up, out_down, scratch) -> None:
     # Along the last axis (sites), row by row:
     # out_up[n]   = (u[n+1] + e^{i theta} d[n+1]) / sqrt(2)
     # out_down[n] = e^{i phi_n} (u[n-1] - e^{i theta} d[n-1]) / sqrt(2)
     # exp_theta holds one factor per row; exp_phi_scaled already carries
-    # the 1/sqrt(2) factor.
+    # the 1/sqrt(2) factor.  The shifts are written through flat views of
+    # the contiguous operands, which run on across row ends; one column op
+    # per shift then puts each row's wrapped end right.
     np.multiply(d, exp_theta, out=scratch)
     np.add(u, scratch, out=out_down)  # out_down used as a temporary here
-    out_up[..., :-1] = out_down[..., 1:]
-    out_up[..., -1] = out_down[..., 0]
-    out_up *= INV_SQRT2
+    np.multiply(_flat(out_down)[1:], INV_SQRT2, out=_flat(out_up)[:-1])
+    np.multiply(out_down[..., 0], INV_SQRT2, out=out_up[..., -1])
     np.subtract(u, scratch, out=scratch)
-    out_down[..., 1:] = scratch[..., :-1]
-    out_down[..., 0] = scratch[..., -1]
-    out_down *= exp_phi_scaled
+    np.multiply(_flat(scratch)[:-1], _flat(exp_phi_scaled)[1:], out=_flat(out_down)[1:])
+    np.multiply(scratch[..., -1], exp_phi_scaled[..., 0], out=out_down[..., 0])
 
 
 def evolve(
@@ -115,15 +136,17 @@ def evolve(
     """Apply ``T`` steps, using ``theta[t-1]`` for step ``t`` and fixed ``phi``.
 
     ``phases`` is one ``CoinPhases`` for a ``(N,)`` state, or a sequence
-    of them, one per row, for a ``(B, N)`` batch.  Step ``t`` updates only
-    the columns of ``light_cone(support(state), t, N)``; the amplitudes
-    are bit for bit those of stepping the whole lattice, and row ``b`` of
-    a batch is bit for bit the walker evolved alone.
+    of them, one per row, for a ``(B, N)`` batch.  Step ``t`` updates the
+    columns of ``stepped_columns(support(state), t, shape)``: every column
+    of a batch, the light cone of one walker.  Inside the light cone the
+    amplitudes are bit for bit those of stepping the whole lattice, and
+    outside it they are zeros (some may be ``-0.0``); row ``b`` of a batch
+    is bit for bit the walker evolved alone.
 
     The observer, if given, is called as ``observer(t, state_t)`` after
-    each step with ``t`` counted from ``state.time``.  The state handed to
-    the observer reuses internal buffers: copy the amplitude arrays before
-    storing them.
+    each step with ``t`` counted from ``state.time``, on the whole
+    lattice.  The state handed to the observer reuses internal buffers:
+    copy the amplitude arrays before storing them.
 
     Raises
     ------
@@ -161,8 +184,8 @@ def evolve(
     for t in range(1, T + 1):
         # Columns past the cone stay zero, and the cone is at least one
         # site wider on each side than the support it steps from, so the
-        # kernel's periodic wrap inside the slice only moves zeros.
-        w = light_cone(start, t, N)
+        # kernel's periodic wrap inside a cone slice only moves zeros.
+        w = stepped_columns(start, t, shape)
         _step_kernel(u[..., w], d[..., w], exp_theta[t - 1], exp_phi_scaled[..., w],
                      buf_u[..., w], buf_d[..., w], scratch[..., w])
         u, buf_u = buf_u, u

@@ -393,6 +393,19 @@ class TestPhaseDiagram:
         assert (out / "grid.csv").read_bytes() == grid
         assert (out / "manifest.json").read_bytes() == manifest
 
+    def test_unreadable_cell_path_exit_2_naming_it(self, tmp_path, capsys):
+        cfg = self.write_sweep_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = (out / "manifest.json").read_bytes()
+        cell = out / "cells" / "cell_000_000.json"
+        cell.unlink()
+        cell.mkdir()
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(cell) in err and "--force" in err
+        assert (out / "manifest.json").read_bytes() == manifest
+
     def test_truncated_cell_exit_2(self, tmp_path, capsys):
         cfg = self.write_sweep_config(tmp_path)
         out = tmp_path / "out"

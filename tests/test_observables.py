@@ -18,7 +18,8 @@ from corrwalk.noise import CoinPhases, generate_coin_phases
 from corrwalk.observables import (
     RegimeLabel,
     TrajectoryStats,
-    centred_moments,
+    centred_sums,
+    finish_moments,
     longtime_avg_dispersion,
     scaled_windows,
 )
@@ -118,7 +119,7 @@ class TestCentredMoments:
 
     def moments(self, p):
         offsets = np.arange(1.0, self.N + 1.0) - self.CENTRE
-        mean, sigma = centred_moments(np.atleast_2d(p)[:, None], offsets, offsets * offsets, self.CENTRE)
+        mean, sigma = finish_moments(self.CENTRE, *centred_sums(np.atleast_2d(p)[None], offsets, offsets * offsets))
         return (mean[0], sigma[0]) if p.ndim == 1 else (mean, sigma)
 
     @pytest.mark.parametrize("ratio", [0, 1, 10, 100, 216, 500, 1000, -1000])

@@ -9,7 +9,7 @@ from corrwalk import (
     probability_profile,
 )
 from corrwalk.noise import CoinPhases
-from corrwalk.walk import WalkerState, light_cone, support
+from corrwalk.walk import WalkerState, _step_kernel, light_cone, stepped_columns, support
 
 from _oracles import as_vector, dense_step_unitary, initial_state_generic, norm, whole_lattice_step
 
@@ -239,6 +239,12 @@ class TestLightCone:
         assert light_cone((0, 3), 1, 40) == slice(0, 40)
         assert light_cone((20, 39), 1, 40) == slice(0, 40)
 
+    def test_a_batch_steps_whole_rows_and_one_walker_its_cone(self):
+        assert stepped_columns((10, 12), 3, (40,)) == slice(7, 16)
+        assert stepped_columns((10, 12), 3, (1, 40)) == slice(7, 16)
+        assert stepped_columns((10, 12), 3, (2, 40)) == slice(0, 40)
+        assert stepped_columns((10, 12), 11, (1, 40)) == slice(0, 40)
+
     def test_support_spans_every_row(self):
         up = np.zeros((2, 12), complex)
         down = np.zeros((2, 12), complex)
@@ -255,26 +261,49 @@ class TestLightCone:
             [(1, 0.6, 0.8)],  # on the first site: the full lattice from t = 0
             [(24, 1.0, 1.0j)],  # on the last site
             [(1, 1.0, 0.0), (24, 0.0, 1.0)],
+            # A batch of three, one walker per row, on site 1 and on site N:
+            # the periodic wrap crosses the row ends from step 1.
+            pytest.param(
+                [[(1, 0.6, 0.8j)], [(24, 1.0, -0.5)], [(1, 1.0, 0.0), (24, 0.0, 1.0)]], id="batch-at-chain-ends"
+            ),
         ],
     )
     def test_windowed_evolve_matches_dense_oracle_and_full_lattice(self, entries):
         N, T = 24, 30
-        rng = np.random.default_rng(len(entries) + entries[0][0])
-        phases = random_phases(rng, T, N)
-        state, _ = initial_state_generic(N, entries)
+        rows = entries if isinstance(entries[0], list) else [entries]
+        rng = np.random.default_rng(len(entries) + rows[0][0][0])
+        phases = [random_phases(rng, T, N) for _ in rows]
+        walkers = [initial_state_generic(N, row)[0] for row in rows]
+        if len(rows) == 1:
+            state, batch_phases = walkers[0], phases[0]
+        else:
+            state = WalkerState(np.stack([w.up for w in walkers]), np.stack([w.down for w in walkers]))
+            batch_phases = phases
 
-        vec = as_vector(state)
-        full = state
+        vecs = [as_vector(w) for w in walkers]
+        full = list(walkers)
         seen = {}
-        evolve(state, phases, T, observer=lambda t, s: seen.setdefault(t, (s.up.copy(), s.down.copy())))
+        evolve(state, batch_phases, T, observer=lambda t, s: seen.setdefault(t, (s.up.copy(), s.down.copy())))
         for t in range(1, T + 1):
-            vec = dense_step_unitary(phases.theta[t - 1], phases.phi) @ vec
-            full = whole_lattice_step(full, phases.theta[t - 1], phases.phi)
-            up, down = seen[t]
-            np.testing.assert_allclose(np.concatenate([up, down]), vec, atol=1e-12)
-            # Stepping only the light cone changes no amplitude's bits.
-            np.testing.assert_array_equal(up, full.up)
-            np.testing.assert_array_equal(down, full.down)
+            up, down = (np.atleast_2d(a) for a in seen[t])
+            assert up.shape == (len(rows), N)
+            for b, row_phases in enumerate(phases):
+                vecs[b] = dense_step_unitary(row_phases.theta[t - 1], row_phases.phi) @ vecs[b]
+                full[b] = whole_lattice_step(full[b], row_phases.theta[t - 1], row_phases.phi)
+                np.testing.assert_allclose(np.concatenate([up[b], down[b]]), vecs[b], atol=1e-12)
+                # Stepping the light cone, or a batch's whole rows, changes
+                # no amplitude's bits.
+                np.testing.assert_array_equal(up[b], full[b].up)
+                np.testing.assert_array_equal(down[b], full[b].down)
+
+    def test_kernel_refuses_a_non_contiguous_operand(self):
+        # The shifts write through flat views; of a strided block such a
+        # view would be a copy, and the write would be lost.
+        B, N = 3, 8
+        arrays = [np.zeros((B, N), complex) for _ in range(5)]
+        u, d, out_up, out_down, scratch = (a[:, 2:6] for a in arrays)
+        with pytest.raises(AttributeError):
+            _step_kernel(u, d, np.ones((B, 1), complex), np.ones((B, 4), complex), out_up, out_down, scratch)
 
     def test_batch_rows_are_the_walkers_evolved_alone(self):
         N, T, B = 40, 45, 5
