@@ -45,30 +45,26 @@ log = logging.getLogger("corrwalk")
 DEFAULT_OUT_ROOT = "qwalk_out"
 
 
-class ConfigError(InvalidParameterError):
-    """Configuration problem; reported with exit code 2."""
-
-
 def _load_config_file(path: str, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config file {path} cannot be read: {exc}")
+        raise InvalidParameterError(f"config file {path} cannot be read: {exc}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        raise InvalidParameterError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(payload, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise InvalidParameterError(f"config file {path} must hold a JSON object")
     # Manifests are accepted in place of bare configs.
     if "config" in payload and "command" in payload:
         if payload["command"] != command:
-            raise ConfigError(
+            raise InvalidParameterError(
                 f"manifest {path} was written by command {payload['command']!r}, "
                 f"not {command!r}"
             )
         payload = payload["config"]
         if not isinstance(payload, dict):
-            raise ConfigError(f"manifest {path} holds a malformed config")
+            raise InvalidParameterError(f"manifest {path} holds a malformed config")
     return payload
 
 
@@ -77,7 +73,7 @@ def _resolved_config(args, command: str, flag_fields: dict) -> dict:
     if args.preset:
         preset = resolve_preset(args.preset)
         if preset["command"] != command:
-            raise ConfigError(
+            raise InvalidParameterError(
                 f"preset {args.preset!r} belongs to command {preset['command']!r}, not {command!r}"
             )
         config.update(preset["config"])
@@ -100,7 +96,7 @@ def _field(config: dict, name: str, kind, default=_REQUIRED):
     ``[kind]`` for a list of that kind); ``default`` when unset or null."""
     if name not in config or config[name] is None:
         if default is _REQUIRED:
-            raise ConfigError(f"field {name!r}: required but missing")
+            raise InvalidParameterError(f"field {name!r}: required but missing")
         return default
     value = config[name]
     if isinstance(kind, list) and isinstance(value, (list, tuple)):
@@ -115,7 +111,7 @@ def _field(config: dict, name: str, kind, default=_REQUIRED):
     if kind in (bool, str) and isinstance(value, kind):
         return value
     expected = f"list of {kind[0].__name__}" if isinstance(kind, list) else kind.__name__
-    raise ConfigError(f"field {name!r}: expected {expected}, got {value!r}")
+    raise InvalidParameterError(f"field {name!r}: expected {expected}, got {value!r}")
 
 
 # Fields that `run` and `phase-diagram` both read.
@@ -161,7 +157,7 @@ def _parse(config: dict, command: str) -> dict:
     fields = _FIELDS[command]
     unknown = sorted(set(config) - set(fields))
     if unknown:
-        raise ConfigError(f"unknown field(s) {unknown}; known fields are {sorted(fields)}")
+        raise InvalidParameterError(f"unknown field(s) {unknown}; known fields are {sorted(fields)}")
     return {name: _field(config, name, kind, default) for name, (kind, default) in fields.items()}
 
 
@@ -170,7 +166,7 @@ def _checked(name: str, rule, *args):
     try:
         return rule(*args)
     except InvalidParameterError as exc:
-        raise ConfigError(f"field {name!r}: {exc}") from None
+        raise InvalidParameterError(f"field {name!r}: {exc}") from None
 
 
 def _ensemble_config(config: dict, N: int, T: int, alpha_t: float, beta_s: float, **extra) -> EnsembleConfig:
@@ -233,9 +229,9 @@ def _cmd_trace(args) -> int:
     _write_manifest(out_dir, "trace", config, config["seed"])
 
     if config["raw"]:
-        path = io.write_phase_csv(out_dir / "trace.csv", trace, value_label="value")
+        path = io.write_series_csv(out_dir / "trace.csv", trace, ("j", "value"))
     else:
-        path = io.write_phase_csv(out_dir / "trace.csv", squash_to_phase(trace), value_label="V")
+        path = io.write_series_csv(out_dir / "trace.csv", squash_to_phase(trace), ("j", "V"))
     print(f"wrote {path}")
     return 0
 
@@ -249,23 +245,23 @@ def _check_run_config(config: dict) -> dict:
     resolved and ``snapshot_single`` dropped."""
     # Manifests of earlier versions hold "snapshot_single": false; snapshots are always averaged.
     if config.pop("snapshot_single"):
-        raise ConfigError("field 'snapshot_single': no longer supported; snapshots are averaged")
+        raise InvalidParameterError("field 'snapshot_single': no longer supported; snapshots are averaged")
     if (config["N"] is None) == (config["sizes"] is None):
-        raise ConfigError("fields 'N'/'sizes': exactly one must be set")
+        raise InvalidParameterError("fields 'N'/'sizes': exactly one must be set")
 
     if config["t_rule"] not in (None, "N/2", "5N"):
-        raise ConfigError(f"field 't_rule': expected 'N/2' or '5N', got {config['t_rule']!r}")
+        raise InvalidParameterError(f"field 't_rule': expected 'N/2' or '5N', got {config['t_rule']!r}")
     if config["T"] is not None and config["t_rule"] is not None:
-        raise ConfigError("fields 'T'/'t_rule': at most one may be set")
+        raise InvalidParameterError("fields 'T'/'t_rule': at most one may be set")
     if config["T"] is None and config["t_rule"] is None:
         config["t_rule"] = "N/2"
 
     if config["snapshot_times"] and config["sizes"] is not None:
-        raise ConfigError("field 'snapshot_times': only supported for single-size runs")
+        raise InvalidParameterError("field 'snapshot_times': only supported for single-size runs")
 
     fit_window = config["fit_window"]
     if fit_window is not None and not (len(fit_window) == 2 and 0 <= fit_window[0] < fit_window[1]):
-        raise ConfigError(
+        raise InvalidParameterError(
             f"field 'fit_window': expected [t_min, t_max] with 0 <= t_min < t_max, got {fit_window}"
         )
     return config
@@ -313,7 +309,7 @@ def _cmd_run(args) -> int:
         io.write_trajectory_csv(out_dir / f"trajectory_N{N}.csv", stats)
         if stats.snapshots:
             for t in sorted(stats.snapshots):
-                io.write_profile_csv(out_dir / f"snapshot_N{N}_t{t}.csv", stats.snapshots[t])
+                io.write_series_csv(out_dir / f"snapshot_N{N}_t{t}.csv", stats.snapshots[t], ("n", "P"))
 
         entry = {
             "N": N,

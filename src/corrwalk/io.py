@@ -19,8 +19,6 @@ def format_value(value) -> str:
     """Render one CSV cell; floats use shortest round-trip representation."""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return str(value)
@@ -59,18 +57,10 @@ def write_trajectory_csv(path, stats) -> Path:
     return write_csv(path, ("t", "mean", "sigma"), rows)
 
 
-def write_profile_csv(path, profile) -> Path:
-    """Dump a probability profile as ``n,P`` rows (sites 1-based)."""
-    profile = np.asarray(profile)
-    rows = zip(range(1, profile.size + 1), profile)
-    return write_csv(path, ("n", "P"), rows)
-
-
-def write_phase_csv(path, values, value_label: str = "V") -> Path:
-    """Dump a phase or trace sequence as ``j,<label>`` rows (1-based j)."""
+def write_series_csv(path, values, header) -> Path:
+    """Dump a sequence as ``index,value`` rows under ``header``, indices 1-based."""
     values = np.asarray(values)
-    rows = zip(range(1, values.size + 1), values)
-    return write_csv(path, ("j", value_label), rows)
+    return write_csv(path, header, zip(range(1, values.size + 1), values))
 
 
 def write_sweep_csv(path, cells) -> Path:

@@ -22,7 +22,7 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 @dataclass
 class WalkerState:
-    """Two complex amplitude arrays over N sites at one time step.
+    """Two complex amplitude arrays over N sites.
 
     The arrays have shape ``(N,)`` for one walker or ``(B, N)`` for a
     batch of ``B`` walkers on the same lattice, one walker per row.
@@ -30,7 +30,6 @@ class WalkerState:
 
     up: np.ndarray
     down: np.ndarray
-    time: int = 0
 
     def __post_init__(self) -> None:
         self.up = np.asarray(self.up, dtype=np.complex128)
@@ -39,7 +38,6 @@ class WalkerState:
             raise InvalidParameterError("up and down must be (N,) or (B, N) arrays of identical shape")
         if self.up.shape[-1] < 2:
             raise InvalidParameterError(f"lattice needs at least 2 sites, got {self.up.shape[-1]}")
-        _integer("time", self.time, 0)
 
     @property
     def lattice_size(self) -> int:
@@ -51,7 +49,7 @@ def initial_state_symmetric(N: int) -> WalkerState:
     """Walker at site ``N // 2`` with equal-weight internal components.
 
     The amplitudes are ``1/sqrt(2)`` (spin-up) and ``i/sqrt(2)``
-    (spin-down); every other site is zero and ``time`` is 0.
+    (spin-down); every other site is zero.
     """
     N = _integer("N", N, 2)
     up = np.zeros(N, dtype=np.complex128)
@@ -59,7 +57,7 @@ def initial_state_symmetric(N: int) -> WalkerState:
     center = N // 2
     up[center - 1] = INV_SQRT2
     down[center - 1] = 1j * INV_SQRT2
-    return WalkerState(up=up, down=down, time=0)
+    return WalkerState(up=up, down=down)
 
 
 def support(state: WalkerState) -> tuple[int, int]:
@@ -102,28 +100,21 @@ def stepped_columns(start: tuple[int, int], t: int, shape: tuple[int, ...]) -> s
     return light_cone(start, t, shape[-1])
 
 
-def _flat(a: np.ndarray) -> np.ndarray:
-    """A 1-D view of a contiguous array; raises ``AttributeError`` where a
-    reshape would copy, and so a write into it would be lost."""
-    flat = a.view()
-    flat.shape = (a.size,)
-    return flat
-
-
 def _step_kernel(u, d, exp_theta, exp_phi_scaled, out_up, out_down, scratch) -> None:
     # Along the last axis (sites), row by row:
     # out_up[n]   = (u[n+1] + e^{i theta} d[n+1]) / sqrt(2)
     # out_down[n] = e^{i phi_n} (u[n-1] - e^{i theta} d[n-1]) / sqrt(2)
     # exp_theta holds one factor per row; exp_phi_scaled already carries
-    # the 1/sqrt(2) factor.  The shifts are written through flat views of
-    # the contiguous operands, which run on across row ends; one column op
-    # per shift then puts each row's wrapped end right.
+    # the 1/sqrt(2) factor.  The shifts are written through flat views,
+    # which run on across row ends; one column op per shift then puts each
+    # row's wrapped end right.  The operands are contiguous (see
+    # ``stepped_columns``), so ``reshape(-1)`` is a view, not a copy.
     np.multiply(d, exp_theta, out=scratch)
     np.add(u, scratch, out=out_down)  # out_down used as a temporary here
-    np.multiply(_flat(out_down)[1:], INV_SQRT2, out=_flat(out_up)[:-1])
+    np.multiply(out_down.reshape(-1)[1:], INV_SQRT2, out=out_up.reshape(-1)[:-1])
     np.multiply(out_down[..., 0], INV_SQRT2, out=out_up[..., -1])
     np.subtract(u, scratch, out=scratch)
-    np.multiply(_flat(scratch)[:-1], _flat(exp_phi_scaled)[1:], out=_flat(out_down)[1:])
+    np.multiply(scratch.reshape(-1)[:-1], exp_phi_scaled.reshape(-1)[1:], out=out_down.reshape(-1)[1:])
     np.multiply(scratch[..., -1], exp_phi_scaled[..., 0], out=out_down[..., 0])
 
 
@@ -141,12 +132,14 @@ def evolve(
     of a batch, the light cone of one walker.  Inside the light cone the
     amplitudes are bit for bit those of stepping the whole lattice, and
     outside it they are zeros (some may be ``-0.0``); row ``b`` of a batch
-    is bit for bit the walker evolved alone.
+    is bit for bit the walker evolved alone.  A state holds no clock: to
+    continue a walk after ``a`` steps, pass ``theta[a:]`` and the same
+    ``phi``.
 
     The observer, if given, is called as ``observer(t, state_t)`` after
-    each step with ``t`` counted from ``state.time``, on the whole
-    lattice.  The state handed to the observer reuses internal buffers:
-    copy the amplitude arrays before storing them.
+    each step ``t = 1 .. T``, on the whole lattice.  The state handed to
+    the observer reuses internal buffers: copy the amplitude arrays before
+    storing them.
 
     Raises
     ------
@@ -179,7 +172,7 @@ def evolve(
     buf_d = np.zeros_like(d)
     scratch = np.empty_like(u)
     start = support(state)
-    current = WalkerState(up=u, down=d, time=state.time) if observer is not None else None
+    current = WalkerState(up=u, down=d) if observer is not None else None
 
     for t in range(1, T + 1):
         # Columns past the cone stay zero, and the cone is at least one
@@ -193,7 +186,6 @@ def evolve(
         if observer is not None:
             current.up = u
             current.down = d
-            current.time = state.time + t
-            observer(state.time + t, current)
+            observer(t, current)
 
-    return WalkerState(up=u, down=d, time=state.time + T)
+    return WalkerState(up=u, down=d)

@@ -40,7 +40,7 @@ def initial_state_generic(N, amplitudes):
     factor = 1.0 / norm
     up *= factor
     down *= factor
-    return WalkerState(up=up, down=down, time=0), factor
+    return WalkerState(up=up, down=down), factor
 
 
 def norm(state):
@@ -61,7 +61,7 @@ def whole_lattice_step(state, theta_t, phi):
     x = state.down * np.exp(1j * float(theta_t))
     up = np.roll(state.up + x, -1) * INV_SQRT2
     down = np.roll(state.up - x, 1) * (np.exp(1j * phi) * INV_SQRT2)
-    return WalkerState(up=up, down=down, time=state.time + 1)
+    return WalkerState(up=up, down=down)
 
 
 def direct_fbm_trace(n, nu, seed):

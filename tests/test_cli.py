@@ -148,11 +148,18 @@ class TestRun:
         assert "manifest" in capsys.readouterr().err
 
     def test_workers_flag_matches_serial(self, tmp_path):
-        cfg = run_config(tmp_path, realizations=3)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", str(cfg), "--out", str(out_a)]) == 0
-        assert main(["run", "--config", str(cfg), "--out", str(out_b), "--workers", "2"]) == 0
-        assert (out_a / "trajectory_N64.csv").read_bytes() == (out_b / "trajectory_N64.csv").read_bytes()
+        # One size, and three sizes, which run one ensemble after another.
+        single = dict(realizations=3)
+        multi = dict(N=None, T=None, sizes=[16, 32, 64], alpha_t=2.0, beta_s=1.0, realizations=5, sigma_window=4)
+        for name, overrides, sizes in (("single", single, [64]), ("multi", multi, multi["sizes"])):
+            (tmp_path / name).mkdir()
+            cfg = run_config(tmp_path / name, **overrides)
+            out_a, out_b = tmp_path / name / "a", tmp_path / name / "b"
+            assert main(["run", "--config", str(cfg), "--out", str(out_a)]) == 0
+            assert main(["run", "--config", str(cfg), "--out", str(out_b), "--workers", "2"]) == 0
+            for n in sizes:
+                traj = f"trajectory_N{n}.csv"
+                assert (out_a / traj).read_bytes() == (out_b / traj).read_bytes()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = run_config(tmp_path)

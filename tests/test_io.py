@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corrwalk.io import format_value, write_csv, write_json, write_phase_csv
+from corrwalk.io import format_value, write_csv, write_json, write_series_csv
 
 
 def test_format_value_round_trips_floats():
@@ -12,7 +12,6 @@ def test_format_value_round_trips_floats():
 def test_format_value_kinds():
     assert format_value(3) == "3"
     assert format_value(np.int64(7)) == "7"
-    assert format_value(True) == "true"
     assert format_value("abc") == "abc"
 
 
@@ -22,8 +21,8 @@ def test_write_csv_lf_and_header(tmp_path):
     assert raw == b"a,b\n1,0.5\n2,0.25\n"
 
 
-def test_write_phase_csv_one_based_index(tmp_path):
-    path = write_phase_csv(tmp_path / "t.csv", np.array([0.5, 1.5]), value_label="V")
+def test_write_series_csv_one_based_index(tmp_path):
+    path = write_series_csv(tmp_path / "t.csv", np.array([0.5, 1.5]), ("j", "V"))
     assert path.read_text() == "j,V\n1,0.5\n2,1.5\n"
 
 

@@ -9,7 +9,7 @@ from corrwalk import (
     probability_profile,
 )
 from corrwalk.noise import CoinPhases
-from corrwalk.walk import WalkerState, _step_kernel, light_cone, stepped_columns, support
+from corrwalk.walk import WalkerState, light_cone, stepped_columns, support
 
 from _oracles import as_vector, dense_step_unitary, initial_state_generic, norm, whole_lattice_step
 
@@ -90,7 +90,6 @@ class TestStep:
         expected_down[5] = INV_SQRT2  # site 6 = n0 + 1
         np.testing.assert_allclose(out.up, expected_up, atol=1e-15)
         np.testing.assert_allclose(out.down, expected_down, atol=1e-15)
-        assert out.time == 1
 
     def test_norm_preserved_random_phases(self):
         rng = np.random.default_rng(7)
@@ -140,7 +139,6 @@ class TestEvolve:
         np.testing.assert_array_equal(out.up, state.up)
         np.testing.assert_array_equal(out.down, state.down)
         assert out.up is not state.up
-        assert out.time == state.time
 
     def test_matches_iterated_step(self):
         N, T = 21, 13
@@ -151,7 +149,24 @@ class TestEvolve:
         out = evolve(initial_state_symmetric(N), phases, T)
         np.testing.assert_allclose(out.up, expected.up, atol=1e-13)
         np.testing.assert_allclose(out.down, expected.down, atol=1e-13)
-        assert out.time == T
+
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_two_calls_continue_one_walk(self, B):
+        # A state holds no clock: the second call is handed the phases from
+        # step a + 1 on, and the walk equals one call of a + b steps.
+        N, a, b = 48, 7, 12
+        rng = np.random.default_rng(31 + B)
+        phases = [random_phases(rng, a + b, N) for _ in range(B)]
+        start = initial_state_symmetric(N)
+        if B == 1:
+            state, first, rest = start, phases[0], CoinPhases(theta=phases[0].theta[a:], phi=phases[0].phi)
+        else:
+            state = WalkerState(np.tile(start.up, (B, 1)), np.tile(start.down, (B, 1)))
+            first, rest = phases, [CoinPhases(theta=p.theta[a:], phi=p.phi) for p in phases]
+        once = evolve(state, first, a + b)
+        twice = evolve(evolve(state, first, a), rest, b)
+        np.testing.assert_array_equal(twice.up, once.up)
+        np.testing.assert_array_equal(twice.down, once.down)
 
     @pytest.mark.parametrize("draw", range(20))
     def test_matches_dense_oracle(self, draw):
@@ -217,11 +232,6 @@ class TestEvolve:
     def test_step_count_not_an_integer_rejected(self, T):
         with pytest.raises(InvalidParameterError, match="T"):
             evolve(initial_state_symmetric(8), zero_phases(4, 8), T)
-
-    @pytest.mark.parametrize("time", [-1, True, 0.5])
-    def test_state_time_not_an_integer_rejected(self, time):
-        with pytest.raises(InvalidParameterError, match="time"):
-            WalkerState(up=np.zeros(4), down=np.zeros(4), time=time)
 
 
 def random_phases(rng, T, N):
@@ -295,15 +305,6 @@ class TestLightCone:
                 # no amplitude's bits.
                 np.testing.assert_array_equal(up[b], full[b].up)
                 np.testing.assert_array_equal(down[b], full[b].down)
-
-    def test_kernel_refuses_a_non_contiguous_operand(self):
-        # The shifts write through flat views; of a strided block such a
-        # view would be a copy, and the write would be lost.
-        B, N = 3, 8
-        arrays = [np.zeros((B, N), complex) for _ in range(5)]
-        u, d, out_up, out_down, scratch = (a[:, 2:6] for a in arrays)
-        with pytest.raises(AttributeError):
-            _step_kernel(u, d, np.ones((B, 1), complex), np.ones((B, 4), complex), out_up, out_down, scratch)
 
     def test_batch_rows_are_the_walkers_evolved_alone(self):
         N, T, B = 40, 45, 5
