@@ -37,7 +37,7 @@ from .errors import (
     _integer,
 )
 from .noise import generate_fbm_trace, squash_to_phase
-from .observables import classify_regime, fit_gamma, fit_hurst, longtime_avg_dispersion
+from .observables import classify_regime, fit_gamma, fit_hurst, longtime_avg_dispersion, scaled_windows
 from .presets import preset_names, resolve_preset
 
 log = logging.getLogger("corrwalk")
@@ -354,15 +354,13 @@ def _cmd_phase_diagram(args) -> int:
     sizes = _checked("sizes", _scan_sizes, config["sizes"])
     alphas = _checked("grid_alpha", _grid, "alpha_t", config["grid_alpha"])
     betas = _checked("grid_beta", _grid, "beta_s", config["grid_beta"])
-    # The first cell's largest run, whose traces are the longest; the sweep
-    # derives every other run from it.
-    first = _ensemble_config(config, sizes[-1], sizes[-1] // 2, alphas[0], betas[0])
-    _checked("sigma_window", size_configs, first, sizes, config["sigma_window"])
+    _checked("sigma_window", scaled_windows, config["sigma_window"], [sizes[0] // 2])
+    base = _ensemble_config(config, sizes[0], sizes[0] // 2, alphas[0], betas[0])
 
     cells = phase_diagram_sweep(
         config["grid_alpha"],
         config["grid_beta"],
-        first,
+        base,
         config["sizes"],
         window_len=config["sigma_window"],
         workers=args.workers,

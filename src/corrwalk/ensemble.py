@@ -52,6 +52,22 @@ DEFAULT_UPDATE_CAP = 1_000_000_000
 BATCH_SITES = 4096
 
 
+def _run_arguments(N, T, alpha_t, beta_s, snapshot_times, normalize_variance) -> dict:
+    """The arguments of one run by name, each checked by the rule of its
+    ``EnsembleConfig`` field, with traces that fit in float64
+    (``_mode_scale``), and stored as plain ``int``, ``float`` and tuple."""
+    N, T = _integer("N", N, 2), _integer("T", T, 1)
+    checked = dict(
+        N=N, T=T, alpha_t=_exponent("alpha_t", alpha_t), beta_s=_exponent("beta_s", beta_s),
+        snapshot_times=tuple(_integer("snapshot_times entry", t, 0, T) for t in snapshot_times),
+    )
+    if not isinstance(normalize_variance, bool):
+        raise InvalidParameterError(f"normalize_variance must be a bool, got {normalize_variance!r}")
+    _mode_scale("alpha_t", checked["alpha_t"], T)
+    _mode_scale("beta_s", checked["beta_s"], N)
+    return checked
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Parameters of one disorder-averaged run.
@@ -72,21 +88,13 @@ class EnsembleConfig:
 
     def __post_init__(self) -> None:
         checked = {
-            "N": _integer("N", self.N, 2),
-            "T": _integer("T", self.T, 1),
-            "alpha_t": _exponent("alpha_t", self.alpha_t),
-            "beta_s": _exponent("beta_s", self.beta_s),
+            **_run_arguments(self.N, self.T, self.alpha_t, self.beta_s, self.snapshot_times, self.normalize_variance),
             "realizations": _integer("realizations", self.realizations, 1),
             "master_seed": _check_seed(self.master_seed),
-            "snapshot_times": tuple(_integer("snapshot_times entry", t, 0, self.T) for t in self.snapshot_times),
             "update_cap": _integer("update_cap", self.update_cap, 1),
         }
         for name, value in checked.items():
             object.__setattr__(self, name, value)
-        if not isinstance(self.normalize_variance, bool):
-            raise InvalidParameterError(f"normalize_variance must be a bool, got {self.normalize_variance!r}")
-        _mode_scale("alpha_t", self.alpha_t, self.T)
-        _mode_scale("beta_s", self.beta_s, self.N)
         updates = self.N * self.T
         if updates > self.update_cap:
             raise ResourceLimitError(
@@ -189,11 +197,19 @@ def run_realization(
     Raises
     ------
     InvalidParameterError
-        If ``record_from`` lies outside ``[0, T]``.
+        Before any phase synthesis, if an argument breaks the rule
+        ``EnsembleConfig`` applies to its field, ``seed`` is neither an
+        unsigned 64-bit integer nor a non-empty sequence of them, or
+        ``record_from`` lies outside ``[0, T]``.
     """
+    checked = _run_arguments(N, T, alpha_t, beta_s, snapshot_times, normalize_variance)
+    N, T, alpha_t, beta_s, snapshot_times = checked.values()
     _integer("record_from", record_from, 0, T)
     single = isinstance(seed, (int, np.integer))
-    seeds = [seed] if single else list(seed)
+    listed = isinstance(seed, (Sequence, np.ndarray)) and not isinstance(seed, str)
+    if not (single or listed and len(seed)):
+        raise InvalidParameterError(f"seed must be an integer or a non-empty sequence of integers, got {seed!r}")
+    seeds = [_check_seed(s) for s in ([seed] if single else seed)]
     phases = [generate_coin_phases(T, N, alpha_t, beta_s, s, normalize=normalize_variance) for s in seeds]
     start = initial_state_symmetric(N)
     state = WalkerState(
@@ -470,7 +486,9 @@ def phase_diagram_sweep(
 
     Every cell runs an independent size scan (seeded from the base master
     seed and the cell indices, averaging over ``size_scan``'s horizon-
-    proportional windows), fits gamma, and classifies the regime.  Returns
+    proportional windows), fits gamma, and classifies the regime; of
+    ``base`` it reads only ``realizations``, ``master_seed``,
+    ``normalize_variance`` and ``update_cap``.  Returns
     one record per cell in grid order (alpha outer, beta inner): the dict
     its cell file holds, with the settings it was computed with (alpha,
     beta, derived master seed, realization count, variance normalisation,
@@ -490,18 +508,17 @@ def phase_diagram_sweep(
     alphas = _grid("alpha_t", grid_alpha)
     betas = _grid("beta_s", grid_beta)
     ordered_sizes = _scan_sizes(sizes)
-    # Every cell's runs are validated before the first is computed.  A cell
-    # differs from ``base`` only in its exponents, checked above, and its
-    # seed, so its runs and windows are those of ``base``.
-    windows = [[cfg.N, window] for cfg, window in size_configs(base, ordered_sizes, window_len)]
 
     records = []
     pending = []
     for i, alpha in enumerate(alphas):
         for j, beta in enumerate(betas):
+            # The cell's smallest run, from which ``size_configs`` derives all its runs.
             cell_base = replace(
-                base, alpha_t=alpha, beta_s=beta, master_seed=derive_seed(base.master_seed, "cell", i, j)
+                base, N=ordered_sizes[0], T=ordered_sizes[0] // 2, alpha_t=alpha, beta_s=beta,
+                master_seed=derive_seed(base.master_seed, "cell", i, j), snapshot_times=(),
             )
+            configs = size_configs(cell_base, ordered_sizes, window_len)
             cell_file = Path(out_dir, "cells", f"cell_{i:03d}_{j:03d}.json") if out_dir is not None else None
             record = {
                 "alpha": alpha,
@@ -509,13 +526,13 @@ def phase_diagram_sweep(
                 "master_seed": cell_base.master_seed,
                 "realizations": base.realizations,
                 "normalize_variance": base.normalize_variance,
-                "windows": windows,
+                "windows": [[cfg.N, window] for cfg, window in configs],
             }
             if cell_file is not None and cell_file.exists() and not force:
                 record = _load_cell(cell_file, {"sizes": list(ordered_sizes), **record})
                 log.info("cell (alpha=%g, beta=%g): reusing %s", alpha, beta, cell_file)
             else:
-                pending.append((record, cell_file, size_configs(cell_base, ordered_sizes, window_len)))
+                pending.append((record, cell_file, configs))
             records.append(record)
 
     jobs = [job for *_, configs in pending for job in _windowed(configs)]

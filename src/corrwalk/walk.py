@@ -145,13 +145,17 @@ def evolve(
     ------
     InvalidParameterError
         If fewer than ``T`` temporal phases are available, the spatial
-        sequences do not match the lattice size, or a batch does not get
-        one ``CoinPhases`` per row.
+        sequences do not match the lattice size, a ``(N,)`` state does not
+        get one ``CoinPhases``, or a batch does not get one per row.
     """
     T = _integer("T", T, 0)
     shape = state.up.shape
     N = shape[-1]
-    rows = list(phases) if state.up.ndim == 2 else [phases]
+    batch = state.up.ndim == 2
+    if isinstance(phases, CoinPhases) == batch:
+        wanted = "a sequence of CoinPhases, one per row" if batch else "one CoinPhases"
+        raise InvalidParameterError(f"phases for a state of shape {shape} must be {wanted}")
+    rows = list(phases) if batch else [phases]
     if len(rows) != state.up.size // N:
         raise InvalidParameterError(f"a batch of {shape[0]} walkers needs as many CoinPhases, got {len(rows)}")
     for row in rows:

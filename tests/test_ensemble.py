@@ -89,6 +89,32 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError):
             small_config(snapshot_times=(40,))
 
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("seed", []),
+            ("seed", "abc"),
+            ("seed", 3.5),
+            ("seed", [1, -1]),
+            ("T", "abc"),
+            ("T", 8.0),
+            ("N", "16"),
+            ("alpha_t", -1.0),
+            ("beta_s", 400.0),
+            ("snapshot_times", (9,)),
+            ("snapshot_times", (-1, 3)),
+            ("normalize_variance", "no"),
+        ],
+    )
+    def test_run_realization_refuses_a_bad_argument_before_synthesis(self, monkeypatch, argument, value):
+        calls = []
+        monkeypatch.setattr(ensemble, "generate_coin_phases", lambda *args, **kwargs: calls.append(args))
+        arguments = dict(N=64, T=8, alpha_t=0.0, beta_s=0.0, seed=1)
+        arguments[argument] = value
+        with pytest.raises(InvalidParameterError, match=rf"^{argument}\b"):
+            run_realization(**arguments)
+        assert not calls
+
 
 class TestRunEnsemble:
     @pytest.mark.parametrize("workers", [1, 3])
@@ -420,6 +446,26 @@ class TestPhaseDiagramSweep:
             with pytest.raises(InvalidParameterError, match=field):
                 phase_diagram_sweep(grid_alpha, grid_beta, small_config(), [16, 32, 64], window_len=4, out_dir=tmp_path)
             assert not list(tmp_path.rglob("*.json"))
+
+    @pytest.mark.parametrize(
+        "grid_alpha, sizes, fields",
+        [
+            # alpha_t = 150 overflows float64 in traces of length 1000 and
+            # more: the base's exponent at the cells' horizons, and a cell's
+            # exponent at the base's horizon.  No cell runs either.
+            ([0.0], (500, 1000, 2000), dict(N=16, T=8, alpha_t=150.0)),
+            ([150.0], (16, 32, 64), dict(N=16, T=100_000)),
+            ([0.0, 4.0], (16, 32, 64), dict(N=4000, T=1000, beta_s=7.5, snapshot_times=(0, 1000))),
+        ],
+    )
+    def test_records_do_not_depend_on_the_base_run(self, grid_alpha, sizes, fields):
+        # Of the base a sweep reads only realizations, master_seed,
+        # normalize_variance and update_cap.
+        settings = dict(realizations=2, master_seed=5, normalize_variance=True, update_cap=10**8)
+        plain = EnsembleConfig(N=sizes[0], T=sizes[0] // 2, alpha_t=0.0, beta_s=0.0, **settings)
+        other = EnsembleConfig(**{"alpha_t": 0.0, "beta_s": 0.0, **settings, **fields})
+        expected = phase_diagram_sweep(grid_alpha, [0.0], plain, sizes, window_len=4)
+        assert phase_diagram_sweep(grid_alpha, [0.0], other, sizes, window_len=4) == expected
 
     def test_resume_skips_completed_cells(self, tmp_path):
         kwargs = dict(

@@ -326,3 +326,11 @@ class TestLightCone:
         batch = WalkerState(np.ones((3, N), complex), np.zeros((3, N), complex))
         with pytest.raises(InvalidParameterError, match="CoinPhases"):
             evolve(batch, [random_phases(rng, 4, N)] * 2, 4)
+
+    # A (N,) state with a list of CoinPhases; (B, N) batches with one CoinPhases.
+    @pytest.mark.parametrize("shape, listed", [((10,), True), ((1, 10), False), ((2, 10), False)])
+    def test_phases_must_match_the_state_shape(self, shape, listed):
+        phases = random_phases(np.random.default_rng(0), 4, shape[-1])
+        state = WalkerState(np.ones(shape, complex), np.zeros(shape, complex))
+        with pytest.raises(InvalidParameterError, match="CoinPhases"):
+            evolve(state, [phases] if listed else phases, 4)
