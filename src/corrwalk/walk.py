@@ -163,7 +163,10 @@ def evolve(
             raise InvalidParameterError(f"need {T} temporal phases, sequence has {len(row.theta)}")
         if len(row.phi) != N:
             raise InvalidParameterError(f"phi has length {len(row.phi)}, lattice has {N} sites")
-    exp_phi_scaled = np.exp(1j * np.stack([row.phi for row in rows]).reshape(shape))
+    # e^{i phi} / sqrt 2, formed in place in one buffer.
+    exp_phi_scaled = np.empty(shape, dtype=np.complex128)
+    np.multiply(1j, np.stack([row.phi for row in rows]).reshape(shape), out=exp_phi_scaled)
+    np.exp(exp_phi_scaled, out=exp_phi_scaled)
     exp_phi_scaled *= INV_SQRT2
     theta = np.stack([row.theta[:T] for row in rows], axis=-1)
     exp_theta = np.exp(1j * theta).reshape(T, *shape[:-1], 1)

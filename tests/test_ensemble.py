@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,8 +251,47 @@ class TestBatches:
             np.testing.assert_array_equal(batch.dispersion[b], alone.dispersion)
             np.testing.assert_array_equal(batch.mean_position[b], alone.mean_position)
 
+    def test_contact_times_match_whole_lattice_stepping_long_past_contact(self):
+        # T = 3N in strong disorder: the rows make contact at different
+        # steps, and the observer stops checking once every row has.
+        config = small_config(N=100, T=300, realizations=6, master_seed=41)
+        seeds = [derive_seed(config.master_seed, r) for r in range(1, config.realizations + 1)]
+        expected = []
+        for seed in seeds:
+            phases = generate_coin_phases(config.T, config.N, 0.0, 0.0, seed)
+            state = initial_state_symmetric(config.N)
+            contact = None
+            for t in range(1, config.T + 1):
+                state = whole_lattice_step(state, phases.theta[t - 1], phases.phi)
+                up, down = state.up[:: config.N - 1], state.down[:: config.N - 1]
+                ends = up.real**2 + up.imag**2 + down.real**2 + down.imag**2
+                if contact is None and ends.sum() > ensemble.BOUNDARY_CONTACT_EPS:
+                    contact = t
+            expected.append(contact)
+        assert None not in expected and len(set(expected)) > 3
+        assert run_realization(config.N, config.T, 0.0, 0.0, seeds).boundary_contact_time == tuple(expected)
+        result = run_ensemble(config)
+        assert result.stats.boundary_contact_time == min(expected)
+        assert result.contacted_realizations == config.realizations
+
+    def test_traced_peak_of_one_batch(self):
+        # The start rows are views and e^{i phi} / sqrt 2 is formed in place,
+        # so one batch holds about 13.1 (B, N) complex arrays at its peak
+        # (15.1 with tiled start rows and a temporary phase exponential).
+        N, T, B = 1000, 500, 8
+        seeds = [derive_seed(5, r) for r in range(1, B + 1)]
+        run_realization(N, T, 4.0, 4.0, seeds, snapshot_times=(50, 200, 500))
+        tracemalloc.start()
+        try:
+            run_realization(N, T, 4.0, 4.0, seeds, snapshot_times=(50, 200, 500))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (B * N * np.dtype(np.complex128).itemsize) < 14.0
+
     def test_batch_size_from_lattice_size(self):
-        table = {2: 2048, 64: 64, 256: 16, 1000: 4, 2000: 2, 4000: 1, 4096: 1, 20000: 1}
+        # Two-row batches from N = 2731 to 4096; one walker past 4096.
+        table = {2: 4096, 64: 128, 256: 32, 1000: 8, 2000: 4, 2730: 3, 2731: 2, 4000: 2, 4096: 2, 4097: 1, 20000: 1}
         assert {N: _batch_size(N) for N in table} == table
 
     def test_workers_give_identical_results_with_batches(self, monkeypatch):

@@ -168,6 +168,24 @@ class TestEvolve:
         np.testing.assert_array_equal(twice.up, once.up)
         np.testing.assert_array_equal(twice.down, once.down)
 
+    def test_read_only_broadcast_state_is_copied_not_written(self):
+        # A batch may start from read-only views of one row, as
+        # ``run_realization`` builds it; the result equals a tiled start.
+        N, T, B = 40, 30, 4
+        rng = np.random.default_rng(77)
+        phases = [random_phases(rng, T, N) for _ in range(B)]
+        start = initial_state_symmetric(N)
+        shared = WalkerState(np.broadcast_to(start.up, (B, N)), np.broadcast_to(start.down, (B, N)))
+        assert not shared.up.flags.writeable
+        tiled = WalkerState(np.tile(start.up, (B, 1)), np.tile(start.down, (B, 1)))
+        out = evolve(shared, phases, T)
+        expected = evolve(tiled, phases, T)
+        np.testing.assert_array_equal(out.up, expected.up)
+        np.testing.assert_array_equal(out.down, expected.down)
+        # The views, and so the row they show, are unchanged.
+        np.testing.assert_array_equal(shared.up, tiled.up)
+        np.testing.assert_array_equal(shared.down, tiled.down)
+
     @pytest.mark.parametrize("draw", range(20))
     def test_matches_dense_oracle(self, draw):
         rng = np.random.default_rng(1000 + draw)
