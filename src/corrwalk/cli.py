@@ -307,9 +307,8 @@ def _cmd_run(args) -> int:
         stats = result.stats
 
         io.write_trajectory_csv(out_dir / f"trajectory_N{N}.csv", stats)
-        if stats.snapshots:
-            for t in sorted(stats.snapshots):
-                io.write_series_csv(out_dir / f"snapshot_N{N}_t{t}.csv", stats.snapshots[t], ("n", "P"))
+        for t in sorted(stats.snapshots):
+            io.write_series_csv(out_dir / f"snapshot_N{N}_t{t}.csv", stats.snapshots[t], ("n", "P"))
 
         entry = {
             "N": N,

@@ -231,10 +231,9 @@ def run_realization(
     contact = tuple(int(c) if c >= 0 else None for c in recorder.contact)
     row = 0 if single else slice(None)
     return TrajectoryStats(
-        times=np.arange(T + 1),
         mean_position=recorder.mean[row],
         dispersion=recorder.sigma[row],
-        snapshots={t: p[row] for t, p in recorder.snapshots.items()} or None,
+        snapshots={t: p[row] for t, p in recorder.snapshots.items()},
         boundary_contact_time=contact[0] if single else contact,
     )
 
@@ -337,17 +336,16 @@ def _reduce(batches, config: EnsembleConfig) -> tuple[TrajectoryStats, int]:
             if contact is not None:
                 contacted += 1
                 contact_min = contact if contact_min is None else min(contact_min, contact)
-            for t, profile in (batch.snapshots or {}).items():
+            for t, profile in batch.snapshots.items():
                 snap_sums[t] += profile[b]
 
     R = config.realizations
     sigma_sum /= R
     mean_sum /= R
     stats = TrajectoryStats(
-        times=np.arange(config.T + 1),
         mean_position=mean_sum,
         dispersion=sigma_sum,
-        snapshots={t: total / R for t, total in snap_sums.items()} or None,
+        snapshots={t: total / R for t, total in snap_sums.items()},
         boundary_contact_time=contact_min,
     )
     return stats, contacted
@@ -390,10 +388,12 @@ def _scan_sizes(sizes, least: int = 3) -> tuple[int, ...]:
 
 
 def _grid(name: str, values) -> tuple[float, ...]:
-    """A sweep axis: at least one value of exponent ``name``."""
+    """A sweep axis: at least one value of exponent ``name``, none repeated."""
     grid = tuple(_exponent(name, v) for v in values)
     if not grid:
         raise InvalidParameterError(f"the {name} grid must hold at least one value")
+    if len(set(grid)) < len(grid):
+        raise InvalidParameterError(f"the {name} grid repeats a value: {list(grid)}")
     return grid
 
 

@@ -53,7 +53,7 @@ def write_json(path, payload) -> Path:
 
 def write_trajectory_csv(path, stats) -> Path:
     """Dump a trajectory as ``t,mean,sigma`` rows."""
-    rows = zip(stats.times, stats.mean_position, stats.dispersion)
+    rows = zip(itertools.count(), stats.mean_position, stats.dispersion)
     return write_csv(path, ("t", "mean", "sigma"), rows)
 
 

@@ -25,12 +25,21 @@ _PHASE_SUP = np.nextafter(TWO_PI, 0.0)
 
 
 def derive_seed(master_seed: int, *labels: int | str) -> int:
-    """Derive an independent 64-bit sub-stream seed from a master seed.
+    """Derive a 64-bit sub-stream seed from a master seed.
 
     Labels (integers or short strings such as ``"theta"``/``"phi"``, or a
-    realization index) select the sub-stream.  Distinct label tuples give
-    statistically independent streams; the same tuple always gives the
-    same seed.
+    realization index) select the sub-stream; the same labels always give
+    the same seed.  The master seed and the labels are packed into one
+    list of 32-bit words, each integer as its base-``2**32`` digits, least
+    significant first (0 as one zero word), and each string as the
+    integer whose little-endian bytes are its UTF-8 encoding;
+    ``numpy.random.SeedSequence`` hashes that list.  So two calls give the
+    same seed when their word lists agree, or differ only by trailing zero
+    words while neither holds more than four words:
+    ``derive_seed(5, "a") == derive_seed(5, 97)``,
+    ``derive_seed(5, "cell", 0, 0) == derive_seed(5, "cell")`` and
+    ``derive_seed(5 + 7 * 2**32, 9) == derive_seed(5, 7, 9)``.  Other word
+    lists give different seeds unless their 64-bit hashes collide.
 
     Parameters
     ----------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -23,9 +23,10 @@ class RegimeLabel(Enum):
 
 @dataclass
 class TrajectoryStats:
-    """Time series of the walker's mean position and dispersion.
+    """Time series of the walker's mean position and dispersion, entry
+    ``t`` at step ``t``.
 
-    ``snapshots`` optionally maps a time step to the full probability
+    ``snapshots`` maps each time step asked for to the full probability
     profile recorded there.  ``boundary_contact_time`` is the first step
     at which the probability at the chain ends exceeded the contact
     threshold (None if it never did); statistics past that time include
@@ -36,21 +37,18 @@ class TrajectoryStats:
     snapshots and one contact time per realization in a tuple.
     """
 
-    times: np.ndarray
     mean_position: np.ndarray
     dispersion: np.ndarray
-    snapshots: dict[int, np.ndarray] | None = None
+    snapshots: dict[int, np.ndarray] = field(default_factory=dict)
     boundary_contact_time: int | None | tuple[int | None, ...] = None
 
     def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=np.int64)
         self.mean_position = np.asarray(self.mean_position, dtype=np.float64)
         self.dispersion = np.asarray(self.dispersion, dtype=np.float64)
-        if not (self.times.shape == self.mean_position.shape[-1:] == self.dispersion.shape[-1:]
-                and self.mean_position.shape == self.dispersion.shape):
-            raise InvalidParameterError("times, mean_position, and dispersion must share one length")
-        if self.times.ndim != 1 or self.times.size == 0:
-            raise InvalidParameterError("trajectory must contain at least one entry")
+        if self.mean_position.shape != self.dispersion.shape:
+            raise InvalidParameterError("mean_position and dispersion must share one shape")
+        if self.dispersion.ndim not in (1, 2) or self.dispersion.shape[-1] == 0:
+            raise InvalidParameterError("trajectory must be a (T + 1,) or (B, T + 1) array with T >= 0")
         if np.any(self.dispersion < 0):
             raise InvalidParameterError("dispersion values must be non-negative")
 
@@ -179,7 +177,7 @@ def fit_hurst(stats: TrajectoryStats, window: tuple[int, int] | None = None) -> 
 
     The error carries the last window tried as ``window``.
     """
-    t_last = int(stats.times[-1])
+    t_last = stats.dispersion.shape[-1] - 1
     contact = stats.boundary_contact_time
     t_eff = t_last if contact is None else min(t_last, int(contact))
     if window is not None:
@@ -187,8 +185,8 @@ def fit_hurst(stats: TrajectoryStats, window: tuple[int, int] | None = None) -> 
     else:
         windows = [(t_last // 5, t_eff), (max(1, t_eff // 5), t_eff)]
     for fallback, (t_min, t_max) in enumerate(windows):
-        mask = (stats.times >= max(t_min, 1)) & (stats.times <= t_max)
-        sig = stats.dispersion[mask]
+        first = max(t_min, 1)
+        sig = stats.dispersion[first : max(first, t_max + 1)]
         if contact is not None and t_max > contact:
             error = InvalidParameterError(
                 f"fit window [{t_min}, {t_max}] extends past boundary contact at t={contact}"
@@ -200,7 +198,7 @@ def fit_hurst(stats: TrajectoryStats, window: tuple[int, int] | None = None) -> 
         elif np.any(sig <= 0):
             error = DegenerateSeriesError("dispersion must be positive inside the fit window")
         else:
-            return HurstFit(*_loglog_fit(stats.times[mask], sig), (t_min, t_max), bool(fallback))
+            return HurstFit(*_loglog_fit(np.arange(first, first + sig.size), sig), (t_min, t_max), bool(fallback))
     error.window = (t_min, t_max)
     raise error
 
@@ -213,10 +211,9 @@ def longtime_avg_dispersion(stats: TrajectoryStats, window_len: int = 100) -> fl
     would bias the fitted size-scaling exponent upwards.
     """
     window_len = _integer("window_len", window_len, 1)
-    if stats.times.size < window_len:
-        raise InsufficientDataError(
-            f"trajectory has {stats.times.size} entries, need at least {window_len}"
-        )
+    entries = stats.dispersion.shape[-1]
+    if entries < window_len:
+        raise InsufficientDataError(f"trajectory has {entries} entries, need at least {window_len}")
     return float(np.mean(stats.dispersion[-window_len:]))
 
 

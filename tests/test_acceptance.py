@@ -119,7 +119,7 @@ def test_criterion_02_homogeneous_ballistic():
     evolve(initial_state_symmetric(N), phases, T, observer=observer)
     from corrwalk.observables import TrajectoryStats
 
-    stats = TrajectoryStats(times=np.arange(T + 1), mean_position=np.zeros(T + 1), dispersion=sigma)
+    stats = TrajectoryStats(mean_position=np.zeros(T + 1), dispersion=sigma)
     H, _ = fit_hurst(stats)  # default window [T/5, T]
     ok = abs(H - 1.0) < 0.05
     assert report("02", "homogeneous ballistic dispersion", ok, f"H = {H:.4f} (tol 1.00+/-0.05)")

@@ -363,6 +363,7 @@ class TestPhaseDiagram:
             ("sizes", [1, 32, 64], "'sizes'"),
             ("sigma_window", 0, "sigma_window"),
             ("grid_beta", [-0.5], "grid_beta"),
+            ("grid_alpha", [0.0, 0.0], "grid_alpha"),
         ],
     )
     def test_bad_grid_or_sizes_exit_2_before_compute(self, tmp_path, capsys, field, value, message):

@@ -246,10 +246,12 @@ class TestBatches:
         # a row starts in memory.
         seeds = [derive_seed(22, r) for r in range(1, 5)]
         batch = run_realization(N, 40, 4.0, 4.0, seeds)
+        assert batch.snapshots == {}
         for b, seed in enumerate(seeds):
             alone = run_realization(N, 40, 4.0, 4.0, seed)
             np.testing.assert_array_equal(batch.dispersion[b], alone.dispersion)
             np.testing.assert_array_equal(batch.mean_position[b], alone.mean_position)
+            assert alone.snapshots == {}
 
     def test_contact_times_match_whole_lattice_stepping_long_past_contact(self):
         # T = 3N in strong disorder: the rows make contact at different
@@ -482,6 +484,7 @@ class TestPhaseDiagramSweep:
             ([0.0, -1.0], [0.0], "alpha_t"),
             ([0.0, "0.5"], [0.0], "alpha_t"),
             ([0.0], [0.0, True], "beta_s"),
+            ([0.0], [1.0, -0.0, 0.0], "beta_s grid repeats"),
         ]:
             with pytest.raises(InvalidParameterError, match=field):
                 phase_diagram_sweep(grid_alpha, grid_beta, small_config(), [16, 32, 64], window_len=4, out_dir=tmp_path)

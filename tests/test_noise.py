@@ -210,6 +210,26 @@ class TestDeriveSeed:
         assert derive_seed(5, 1) != derive_seed(5, 2)
         assert derive_seed(5, 1) != derive_seed(6, 1)
 
+    def test_equal_word_lists_give_equal_seeds(self):
+        # The packing rule of the docstring: a string is its little-endian
+        # UTF-8 integer, an integer its 32-bit words, and trailing zero words
+        # drop out of lists of at most four words.
+        assert derive_seed(5, "a") == derive_seed(5, 97)
+        assert derive_seed(5, "cell", 0, 0) == derive_seed(5, "cell")
+        assert derive_seed(5 + 7 * 2**32, 9) == derive_seed(5, 7, 9)
+        assert derive_seed(5, 1, 2, 3, 0) != derive_seed(5, 1, 2, 3)
+
+    def test_seeds_of_a_paper_sweep_are_distinct(self):
+        # fig6-paper's shape: 81 cells of 5 sizes, the 5000 realizations of
+        # one size, and the phase seeds of 100 of them.
+        master = 601
+        cells = [derive_seed(master, "cell", i, j) for i in range(9) for j in range(9)]
+        sizes = [derive_seed(cell, "size", n) for cell in cells for n in (2000, 4000, 8000, 16000, 32000)]
+        realizations = [derive_seed(sizes[0], r) for r in range(1, 5001)]
+        phases = [derive_seed(seed, label) for seed in realizations[:100] for label in ("theta", "phi")]
+        seeds = [master, *cells, *sizes, *realizations, *phases]
+        assert len(seeds) == 5687 and len(set(seeds)) == len(seeds)
+
     def test_output_is_u64(self):
         s = derive_seed(2**64 - 1, "x", 3)
         assert 0 <= s < 2**64

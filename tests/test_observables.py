@@ -30,7 +30,6 @@ from _oracles import initial_state_generic
 def make_stats(times, sigma, contact=None):
     times = np.asarray(times)
     return TrajectoryStats(
-        times=times,
         mean_position=np.zeros(times.size),
         dispersion=np.asarray(sigma, float),
         boundary_contact_time=contact,
@@ -209,6 +208,17 @@ class TestFitHurst:
         with pytest.raises(InsufficientDataError):
             fit_hurst(stats, window=(7, 10))
 
+    def test_explicit_window_past_last_step_fits_the_steps_that_exist(self):
+        t = np.arange(0, 101)
+        stats = make_stats(t, 2.0 * np.maximum(t, 1) ** 0.7 * (1.0 + 0.05 * np.sin(t)))
+        fit = fit_hurst(stats, window=(10, 150))
+        assert tuple(fit) == tuple(fit_hurst(stats, window=(10, 100)))
+        assert fit.window == (10, 150)
+        assert (fit.H, fit.stderr) == pytest.approx((0.7013522636161793, 0.0062655317826876816), rel=1e-12)
+        # A window that ends before step 1 holds no step.
+        with pytest.raises(InsufficientDataError, match="contains 0 points"):
+            fit_hurst(stats, window=(10, -5))
+
     def test_zero_sigma_in_window(self):
         t = np.arange(0, 51)
         sigma = np.maximum(t, 1.0)
@@ -341,17 +351,19 @@ class TestClassifyRegime:
 
 class TestTrajectoryStats:
     def test_length_mismatch_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            TrajectoryStats(
-                times=np.arange(5),
-                mean_position=np.zeros(5),
-                dispersion=np.zeros(4),
-            )
+        # Mean and dispersion must share one shape: (T + 1,) or (B, T + 1).
+        for mean_shape, dispersion_shape in (((5,), (4,)), ((2, 5), (5,)), ((2, 5), (3, 5))):
+            with pytest.raises(InvalidParameterError, match="share one shape"):
+                TrajectoryStats(mean_position=np.zeros(mean_shape), dispersion=np.zeros(dispersion_shape))
+
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 0), (2, 2, 5)])
+    def test_not_one_or_a_batch_of_trajectories_rejected(self, shape):
+        with pytest.raises(InvalidParameterError, match="T >= 0"):
+            TrajectoryStats(mean_position=np.zeros(shape), dispersion=np.zeros(shape))
 
     def test_negative_dispersion_rejected(self):
         with pytest.raises(InvalidParameterError):
             TrajectoryStats(
-                times=np.arange(3),
                 mean_position=np.zeros(3),
                 dispersion=np.array([0.0, -1.0, 2.0]),
             )
