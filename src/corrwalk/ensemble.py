@@ -14,7 +14,6 @@ import time
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import chain
 from multiprocessing import Pool
 from pathlib import Path
@@ -243,34 +242,25 @@ def _batch_size(N: int) -> int:
     return max(1, BATCH_SITES // N)
 
 
-def _check_workers(workers) -> int:
-    """The worker count: 1 for ``None``, else an integer >= 1 that is not a ``bool``."""
-    return 1 if workers is None else _integer("workers", workers, 1)
-
-
 def _tasks(config: EnsembleConfig, record_from: int):
-    """One ensemble's batches as stream tasks ``(run, master_seed, first, stop)``:
-    ``run`` evolves realizations ``first .. stop - 1`` (1-based) together."""
+    """One ensemble's batches as stream tasks ``(config, record_from, first, stop)``:
+    realizations ``first .. stop - 1`` (1-based), evolved together."""
     R = config.realizations
     B = _batch_size(config.N)
-    # Looked up on the module here, so a wrapper installed on it runs too.
-    run = partial(
-        run_realization, config.N, config.T, config.alpha_t, config.beta_s,
-        snapshot_times=config.snapshot_times, normalize_variance=config.normalize_variance,
-        record_from=record_from,
-    )
     for first in range(1, R + 1, B):
-        yield run, config.master_seed, first, min(first + B, R + 1)
+        yield config, record_from, first, min(first + B, R + 1)
 
 
 def _run_batch(task) -> TrajectoryStats:
     """Evolve one task's batch; its realization seeds are derived where it runs."""
-    run, master_seed, first, stop = task
-    return run([derive_seed(master_seed, r) for r in range(first, stop)])
+    config, record_from, first, stop = task
+    seeds = [derive_seed(config.master_seed, r) for r in range(first, stop)]
+    return run_realization(config.N, config.T, config.alpha_t, config.beta_s, seeds, config.snapshot_times,
+                           config.normalize_variance, record_from=record_from)
 
 
 @contextmanager
-def _ensembles(jobs, workers: int):
+def _ensembles(jobs, workers: int | None):
     """Each ``(config, record_from)`` job's ``(stats, contacted)``, in job order.
 
     Every batch of every job goes through one ordered task stream: serial
@@ -279,8 +269,10 @@ def _ensembles(jobs, workers: int):
     on an error.  Tasks are generated as the stream reaches them and sent
     one at a time, so that few results that finish ahead of their turn
     wait in the parent.  ``_reduce`` takes each job's batches in
-    realization order, so the output does not depend on ``workers``.
+    realization order, so the output does not depend on ``workers``,
+    which is checked here, also with no job (``None`` is one worker).
     """
+    workers = 1 if workers is None else _integer("workers", workers, 1)
     tasks = chain.from_iterable(_tasks(cfg, record_from) for cfg, record_from in jobs)
 
     def reduced(results):
@@ -309,7 +301,6 @@ def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> Ensemble
     InvalidParameterError
         If ``workers`` is neither ``None`` nor an integer >= 1.
     """
-    workers = _check_workers(workers)
     started = time.perf_counter()
     with _ensembles([(config, 0)], workers) as results:
         stats, contacted = next(results)
@@ -419,7 +410,6 @@ def size_scan(
         If fewer than 3 sizes are given, ``workers`` is neither ``None`` nor
         an integer >= 1, or as ``size_configs`` does.
     """
-    workers = _check_workers(workers)
     configs = size_configs(base, _scan_sizes(sizes), window_len)
     with _ensembles(_windowed(configs), workers) as results:
         return _scan_points(configs, results)
@@ -513,7 +503,6 @@ def phase_diagram_sweep(
     written as soon as its last size is reduced, so an interrupted sweep
     resumes from its finished cells.
     """
-    workers = _check_workers(workers)
     alphas = _grid("alpha_t", grid_alpha)
     betas = _grid("beta_s", grid_beta)
     ordered_sizes = _scan_sizes(sizes)

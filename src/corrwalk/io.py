@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .observables import _one_trajectory
+
 
 def format_value(value) -> str:
     """Render one CSV cell; floats use shortest round-trip representation."""
@@ -52,8 +54,8 @@ def write_json(path, payload) -> Path:
 
 
 def write_trajectory_csv(path, stats) -> Path:
-    """Dump a trajectory as ``t,mean,sigma`` rows."""
-    rows = zip(itertools.count(), stats.mean_position, stats.dispersion)
+    """Dump one trajectory (a batch raises ``InvalidParameterError``) as ``t,mean,sigma`` rows."""
+    rows = zip(itertools.count(), _one_trajectory(stats).mean_position, stats.dispersion)
     return write_csv(path, ("t", "mean", "sigma"), rows)
 
 

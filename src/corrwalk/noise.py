@@ -134,10 +134,8 @@ def generate_fbm_trace(n: int, nu: float, seed: int, *, normalize: bool = False)
     # real part is the mode sum at position m, and position j = M wraps
     # to m = 0.
     wave = np.fft.ifft(modes).real
-    wave *= M
-    trace = np.empty(M)
-    trace[: M - 1] = wave[1:]
-    trace[M - 1] = wave[0]
+    trace = np.concatenate((wave[1:], wave[:1]))
+    trace *= M
 
     if normalize:
         trace = (trace - trace.mean()) / trace.std()

@@ -53,6 +53,13 @@ class TrajectoryStats:
             raise InvalidParameterError("dispersion values must be non-negative")
 
 
+def _one_trajectory(stats: TrajectoryStats) -> TrajectoryStats:
+    """``stats`` if it holds one trajectory; a batch raises ``InvalidParameterError``."""
+    if stats.dispersion.ndim != 1:
+        raise InvalidParameterError(f"expected one trajectory, got a batch of shape {stats.dispersion.shape}")
+    return stats
+
+
 def probability_profile(state: WalkerState) -> np.ndarray:
     """Born-rule site probabilities ``|up_n|^2 + |down_n|^2``."""
     up = state.up
@@ -173,11 +180,12 @@ def fit_hurst(stats: TrajectoryStats, window: tuple[int, int] | None = None) -> 
     DegenerateSeriesError
         The window contains non-positive dispersion values.
     InvalidParameterError
-        The window extends past the boundary-contact time.
+        ``stats`` is a batch, or the window extends past the
+        boundary-contact time.
 
-    The error carries the last window tried as ``window``.
+    A window's error carries the last window tried as ``window``.
     """
-    t_last = stats.dispersion.shape[-1] - 1
+    t_last = _one_trajectory(stats).dispersion.size - 1
     contact = stats.boundary_contact_time
     t_eff = t_last if contact is None else min(t_last, int(contact))
     if window is not None:
@@ -208,10 +216,11 @@ def longtime_avg_dispersion(stats: TrajectoryStats, window_len: int = 100) -> fl
 
     The window is used as given.  Size scans pass a window that grows
     with each size's horizon (see ``scaled_windows``); a fixed window
-    would bias the fitted size-scaling exponent upwards.
+    would bias the fitted size-scaling exponent upwards.  A batch of
+    trajectories raises ``InvalidParameterError``.
     """
     window_len = _integer("window_len", window_len, 1)
-    entries = stats.dispersion.shape[-1]
+    entries = _one_trajectory(stats).dispersion.size
     if entries < window_len:
         raise InsufficientDataError(f"trajectory has {entries} entries, need at least {window_len}")
     return float(np.mean(stats.dispersion[-window_len:]))

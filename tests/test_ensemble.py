@@ -188,6 +188,15 @@ class TestRunEnsemble:
             phase_diagram_sweep([0.0], [0.0], small_config(), (16, 32, 64), window_len=4,
                                 workers=workers, out_dir=tmp_path)
         assert not list(tmp_path.iterdir())
+        # A sweep whose every cell file exists has no job to run, and still refuses.
+        phase_diagram_sweep([0.0], [0.0], small_config(), (16, 32, 64), window_len=4, out_dir=tmp_path)
+        cell = tmp_path / "cells" / "cell_000_000.json"
+        written = cell.read_bytes()
+        with pytest.raises(InvalidParameterError, match="workers"):
+            phase_diagram_sweep([0.0], [0.0], small_config(), (16, 32, 64), window_len=4,
+                                workers=workers, out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [cell.name, "cells"]
+        assert cell.read_bytes() == written
 
     def test_resource_cap_refusal(self):
         with pytest.raises(ResourceLimitError, match="update_cap"):
@@ -695,6 +704,18 @@ class TestTaskStream:
         # A sweep with every cell already computed starts no pool.
         phase_diagram_sweep(**self.SWEEP, workers=workers, out_dir=tmp_path)
         assert len(made) == pools
+
+    def test_pool_of_spawned_workers_gives_the_serial_bytes(self, monkeypatch):
+        # spawn, the default start method on macOS and Windows, starts each
+        # worker from a fresh import and sends it every task pickled.
+        # N = 64 at R = 300: three batches (128 + 128 + 44).
+        config = small_config(realizations=300, snapshot_times=(32,))
+        serial = run_ensemble(config)
+        monkeypatch.setattr(ensemble, "Pool", multiprocessing.get_context("spawn").Pool)
+        spawned = run_ensemble(config, workers=2)
+        assert spawned.stats.dispersion.tobytes() == serial.stats.dispersion.tobytes()
+        assert spawned.stats.snapshots[32].tobytes() == serial.stats.snapshots[32].tobytes()
+        assert not multiprocessing.active_children()
 
     def test_tasks_generated_as_the_stream_reaches_them(self, monkeypatch):
         real_tasks = ensemble._tasks

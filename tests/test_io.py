@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from corrwalk.io import format_value, write_csv, write_json, write_series_csv
+from corrwalk.ensemble import run_realization
+from corrwalk.errors import InvalidParameterError
+from corrwalk.io import format_value, write_csv, write_json, write_series_csv, write_trajectory_csv
 
 
 def test_format_value_round_trips_floats():
@@ -24,6 +26,13 @@ def test_write_csv_lf_and_header(tmp_path):
 def test_write_series_csv_one_based_index(tmp_path):
     path = write_series_csv(tmp_path / "t.csv", np.array([0.5, 1.5]), ("j", "V"))
     assert path.read_text() == "j,V\n1,0.5\n2,1.5\n"
+
+
+def test_write_trajectory_csv_refuses_a_batch(tmp_path):
+    batch = run_realization(64, 32, 4.0, 4.0, [1, 2, 3])
+    with pytest.raises(InvalidParameterError, match=r"batch of shape \(3, 33\)"):
+        write_trajectory_csv(tmp_path / "trajectory.csv", batch)
+    assert not list(tmp_path.iterdir())
 
 
 def _rows_failing_after_one():

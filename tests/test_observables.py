@@ -361,6 +361,14 @@ class TestTrajectoryStats:
         with pytest.raises(InvalidParameterError, match="T >= 0"):
             TrajectoryStats(mean_position=np.zeros(shape), dispersion=np.zeros(shape))
 
+    @pytest.mark.parametrize(
+        "read", [fit_hurst, lambda stats: longtime_avg_dispersion(stats, 5)], ids=["fit_hurst", "longtime_avg"]
+    )
+    def test_one_trajectory_readers_refuse_a_batch(self, read):
+        batch = run_realization(64, 32, 4.0, 4.0, [1, 2, 3])
+        with pytest.raises(InvalidParameterError, match=r"batch of shape \(3, 33\)"):
+            read(batch)
+
     def test_negative_dispersion_rejected(self):
         with pytest.raises(InvalidParameterError):
             TrajectoryStats(
