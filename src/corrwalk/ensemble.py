@@ -117,8 +117,8 @@ class _StatsRecorder:
     """Per-step observer recording dispersion, mean, snapshots, edge contact.
 
     Works row by row on a ``(B, N)`` batch.  At step ``t`` it squares the
-    columns ``evolve`` stepped (``stepped_columns``: whole rows of a batch,
-    the light cone of one walker) and sums only over the light cone ``t``
+    columns ``evolve`` covered (``stepped_columns``: whole rows of a batch,
+    the light cone of one walker), both parities, and sums only over the light cone ``t``
     steps from the state it was built from: outside it every probability
     is zero.  The sums of mean and dispersion are recorded from step
     ``record_from`` on, centred on the start support (``centred_sums``),

@@ -41,7 +41,12 @@ class WalkerState:
 
     @property
     def lattice_size(self) -> int:
-        """Sites held, which one step updates: ``N``, or ``B * N`` for a batch."""
+        """Nominal site updates per step: the sites held, ``N`` or ``B * N``.
+
+        This counts every site whatever ``evolve`` skips (zeros outside
+        the light cone, the parity a sublattice step does not write), so
+        that update rates compare across stepping rules.
+        """
         return self.up.size
 
 
@@ -87,35 +92,46 @@ def light_cone(start: tuple[int, int], steps: int, N: int) -> slice:
 
 
 def stepped_columns(start: tuple[int, int], t: int, shape: tuple[int, ...]) -> slice:
-    """Columns that step ``t`` updates in an array of ``shape``.
+    """Columns that step ``t`` covers in an array of ``shape``.
 
-    A batch (``B > 1`` rows) steps its whole rows, so that every operand
-    is contiguous; the cone columns of a ``(B, N)`` array are a strided
-    view, on which numpy's loops cost about twice as much per element at
-    ``B >= 4``.  One walker, ``(N,)`` or ``(1, N)``, steps
-    ``light_cone(start, t, N)``, which is already contiguous.
+    A batch (``B > 1`` rows) steps its whole rows, so that each operand's
+    rows follow on at one stride (see ``_step_kernel``); the cone columns
+    of a ``(B, N)`` array do not, and numpy's loops over them cost about
+    twice as much per element at ``B >= 4``.  One walker, ``(N,)`` or
+    ``(1, N)``, steps ``light_cone(start, t, N)``.  A sublattice step (see
+    ``evolve``) writes only one parity of sites, in the site pairs that
+    cover these columns; outside them every amplitude is zero after step
+    ``t``.
     """
     if len(shape) == 2 and shape[0] > 1:
         return slice(0, shape[-1])
     return light_cone(start, t, shape[-1])
 
 
-def _step_kernel(u, d, exp_theta, exp_phi_scaled, out_up, out_down, scratch) -> None:
-    # Along the last axis (sites), row by row:
-    # out_up[n]   = (u[n+1] + e^{i theta} d[n+1]) / sqrt(2)
-    # out_down[n] = e^{i phi_n} (u[n-1] - e^{i theta} d[n-1]) / sqrt(2)
-    # exp_theta holds one factor per row; exp_phi_scaled already carries
-    # the 1/sqrt(2) factor.  The shifts are written through flat views,
-    # which run on across row ends; one column op per shift then puts each
-    # row's wrapped end right.  The operands are contiguous (see
-    # ``stepped_columns``), so ``reshape(-1)`` is a view, not a copy.
+def _step_kernel(u, d, exp_theta, exp_phi_scaled, out_up, out_down, scratch, up_shifts, down_shifts) -> None:
+    # Along the last axis, row by row, with i = k + 1 if up_shifts else k
+    # and j = k - 1 if down_shifts else k:
+    # out_up[k]   = (u[i] + e^{i theta} d[i]) / sqrt(2)
+    # out_down[k] = e^{i phi_k} (u[j] - e^{i theta} d[j]) / sqrt(2)
+    # exp_theta holds one factor per row; exp_phi_scaled, the output sites'
+    # factors, already carries the 1/sqrt(2).  A shift is written through
+    # flat views, which run on across row ends; one column op per shift
+    # then puts each row's wrapped end right.  The operands (whole rows of
+    # a batch, or one walker) have one stride along and across their rows,
+    # so ``reshape(-1)`` is a view, not a copy.
     np.multiply(d, exp_theta, out=scratch)
-    np.add(u, scratch, out=out_down)  # out_down used as a temporary here
-    np.multiply(out_down.reshape(-1)[1:], INV_SQRT2, out=out_up.reshape(-1)[:-1])
-    np.multiply(out_down[..., 0], INV_SQRT2, out=out_up[..., -1])
+    if up_shifts:
+        np.add(u.reshape(-1)[1:], scratch.reshape(-1)[1:], out=out_up.reshape(-1)[:-1])
+        np.add(u[..., 0], scratch[..., 0], out=out_up[..., -1])
+    else:
+        np.add(u, scratch, out=out_up)
+    np.multiply(out_up, INV_SQRT2, out=out_up)
     np.subtract(u, scratch, out=scratch)
-    np.multiply(scratch.reshape(-1)[:-1], exp_phi_scaled.reshape(-1)[1:], out=out_down.reshape(-1)[1:])
-    np.multiply(scratch[..., -1], exp_phi_scaled[..., 0], out=out_down[..., 0])
+    if down_shifts:
+        np.multiply(scratch.reshape(-1)[:-1], exp_phi_scaled.reshape(-1)[1:], out=out_down.reshape(-1)[1:])
+        np.multiply(scratch[..., -1], exp_phi_scaled[..., 0], out=out_down[..., 0])
+    else:
+        np.multiply(scratch, exp_phi_scaled, out=out_down)
 
 
 def evolve(
@@ -127,14 +143,18 @@ def evolve(
     """Apply ``T`` steps, using ``theta[t-1]`` for step ``t`` and fixed ``phi``.
 
     ``phases`` is one ``CoinPhases`` for a ``(N,)`` state, or a sequence
-    of them, one per row, for a ``(B, N)`` batch.  Step ``t`` updates the
+    of them, one per row, for a ``(B, N)`` batch.  Step ``t`` covers the
     columns of ``stepped_columns(support(state), t, shape)``: every column
-    of a batch, the light cone of one walker.  Inside the light cone the
-    amplitudes are bit for bit those of stepping the whole lattice, and
-    outside it they are zeros (some may be ``-0.0``); row ``b`` of a batch
-    is bit for bit the walker evolved alone.  A state holds no clock: to
-    continue a walk after ``a`` steps, pass ``theta[a:]`` and the same
-    ``phi``.
+    of a batch, the light cone of one walker.  On an even lattice, a state
+    whose nonzero amplitudes all sit on sites of one parity keeps to one
+    parity, since each step moves both components one site; each step
+    then reads the parity it holds and writes only the other one.  Any
+    other state is stepped on whole rows, or on the cone.  Inside the
+    light cone the amplitudes are bit for bit those of stepping the whole
+    lattice, and outside it they are zeros (some may be ``-0.0``); row
+    ``b`` of a batch is bit for bit the walker evolved alone.  A state
+    holds no clock: to continue a walk after ``a`` steps, pass
+    ``theta[a:]`` and the same ``phi``.
 
     The observer, if given, is called as ``observer(t, state_t)`` after
     each step ``t = 1 .. T``, on the whole lattice.  The state handed to
@@ -163,36 +183,47 @@ def evolve(
             raise InvalidParameterError(f"need {T} temporal phases, sequence has {len(row.theta)}")
         if len(row.phi) != N:
             raise InvalidParameterError(f"phi has length {len(row.phi)}, lattice has {N} sites")
-    # e^{i phi} / sqrt 2, formed in place in one buffer.
-    exp_phi_scaled = np.empty(shape, dtype=np.complex128)
-    np.multiply(1j, np.stack([row.phi for row in rows]).reshape(shape), out=exp_phi_scaled)
+    # Site n is pair n // P, parity n % P: P = 2 steps one sublattice,
+    # starting from the parity p that the state holds; P = 1 whole rows.
+    P, p = 1, 0
+    if N % 2 == 0:
+        held = ((state.up != 0) | (state.down != 0)).reshape(-1, 2).any(axis=0)
+        if not held.all():
+            P, p = 2, int(held[1])
+    pairs = (*shape[:-1], N // P, P)
+    # e^{i phi} / sqrt 2, formed in place in one buffer; [q] holds the
+    # factors of parity q's sites, contiguous.
+    exp_phi_scaled = np.empty((P, *pairs[:-1]), dtype=np.complex128)
+    np.multiply(1j, np.moveaxis(np.stack([row.phi for row in rows]).reshape(pairs), -1, 0), out=exp_phi_scaled)
     np.exp(exp_phi_scaled, out=exp_phi_scaled)
     exp_phi_scaled *= INV_SQRT2
     theta = np.stack([row.theta[:T] for row in rows], axis=-1)
     exp_theta = np.exp(1j * theta).reshape(T, *shape[:-1], 1)
 
-    u = state.up.copy()
-    d = state.down.copy()
-    # Outside the stepped columns the buffers must hold zeros, as the
-    # amplitudes there do.
-    buf_u = np.zeros_like(u)
-    buf_d = np.zeros_like(d)
-    scratch = np.empty_like(u)
+    # The amplitudes at step t live in states[t % 2].  Outside what a step
+    # writes, the buffers it writes must hold zeros, as the amplitudes there
+    # do: the columns past the stepped ones, and the parity a sublattice
+    # step does not write, which their last write (step t - 2) left zero.
+    states = [WalkerState(state.up.copy(), state.down.copy())]
+    states.append(WalkerState(np.zeros_like(states[0].up), np.zeros_like(states[0].down)))
+    views = [(s.up.reshape(pairs), s.down.reshape(pairs)) for s in states]
+    scratch = np.empty(pairs[:-1], dtype=np.complex128)
     start = support(state)
-    current = WalkerState(up=u, down=d) if observer is not None else None
 
     for t in range(1, T + 1):
-        # Columns past the cone stay zero, and the cone is at least one
-        # site wider on each side than the support it steps from, so the
-        # kernel's periodic wrap inside a cone slice only moves zeros.
+        # Columns past the cone stay zero, and the pairs covering the cone
+        # reach at least one site past the support it steps from on each
+        # side, so the kernel's periodic wrap inside them only moves zeros.
+        # Output site P k + q gathers from sites P k + q +- 1: from pair
+        # k + 1 (spin-up) or k - 1 (spin-down) where that crosses a pair
+        # boundary, else from pair k.
         w = stepped_columns(start, t, shape)
-        _step_kernel(u[..., w], d[..., w], exp_theta[t - 1], exp_phi_scaled[..., w],
-                     buf_u[..., w], buf_d[..., w], scratch[..., w])
-        u, buf_u = buf_u, u
-        d, buf_d = buf_d, d
+        k = slice(w.start // P, -(-w.stop // P))
+        r, q = (p + t - 1) % P, (p + t) % P
+        (u, d), (out_up, out_down) = views[(t - 1) % 2], views[t % 2]
+        _step_kernel(u[..., k, r], d[..., k, r], exp_theta[t - 1], exp_phi_scaled[q, ..., k],
+                     out_up[..., k, q], out_down[..., k, q], scratch[..., k], q == P - 1, q == 0)
         if observer is not None:
-            current.up = u
-            current.down = d
-            observer(t, current)
+            observer(t, states[t % 2])
 
-    return WalkerState(up=u, down=d)
+    return states[T % 2]

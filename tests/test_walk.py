@@ -141,14 +141,21 @@ class TestEvolve:
         assert out.up is not state.up
 
     def test_matches_iterated_step(self):
-        N, T = 21, 13
+        # An odd ring: the walk wraps it from step 10 on and mixes the parities,
+        # and every step equals the whole-lattice step bit for bit.
+        N, T = 21, 45
         phases = generate_coin_phases(T, N, 0.7, 1.3, seed=5)
-        expected = initial_state_symmetric(N)
+        expected = [initial_state_symmetric(N)]
         for t in range(1, T + 1):
-            expected = whole_lattice_step(expected, phases.theta[t - 1], phases.phi)
-        out = evolve(initial_state_symmetric(N), phases, T)
-        np.testing.assert_allclose(out.up, expected.up, atol=1e-13)
-        np.testing.assert_allclose(out.down, expected.down, atol=1e-13)
+            expected.append(whole_lattice_step(expected[-1], phases.theta[t - 1], phases.phi))
+
+        def observer(t, state):
+            np.testing.assert_array_equal(state.up, expected[t].up)
+            np.testing.assert_array_equal(state.down, expected[t].down)
+
+        out = evolve(initial_state_symmetric(N), phases, T, observer=observer)
+        np.testing.assert_array_equal(out.up, expected[T].up)
+        np.testing.assert_array_equal(out.down, expected[T].down)
 
     @pytest.mark.parametrize("B", [1, 3])
     def test_two_calls_continue_one_walk(self, B):
@@ -284,11 +291,14 @@ class TestLightCone:
     @pytest.mark.parametrize(
         "entries",
         [
-            [(10, 0.6, 0.8j)],
-            [(7, 1.0, 0.5), (9, -0.3j, 0.2), (12, 0.1, 1.0)],
+            [(10, 0.6, 0.8j)],  # one parity: one sublattice stepped
+            [(7, 1.0, 0.5), (9, -0.3j, 0.2), (12, 0.1, 1.0)],  # both parities: the whole cone
             [(1, 0.6, 0.8)],  # on the first site: the full lattice from t = 0
             [(24, 1.0, 1.0j)],  # on the last site
             [(1, 1.0, 0.0), (24, 0.0, 1.0)],
+            [(2, 0.6, 0.8j)],  # its first pair block holds site 1 before its cone does
+            [(3, 1.0, -0.5)],  # its pair blocks reach one site past its cone
+            [(23, 0.3, 0.4j)],  # its last pair block holds site N before its cone does
             # A batch of three, one walker per row, on site 1 and on site N:
             # the periodic wrap crosses the row ends from step 1.
             pytest.param(
@@ -352,3 +362,31 @@ class TestLightCone:
         state = WalkerState(np.ones(shape, complex), np.zeros(shape, complex))
         with pytest.raises(InvalidParameterError, match="CoinPhases"):
             evolve(state, [phases] if listed else phases, 4)
+
+
+class TestSublattice:
+    @pytest.mark.parametrize("B", [1, 2, 8])
+    def test_other_parity_is_exactly_zero_after_every_step(self, B):
+        # From the symmetric start on an even ring, the sites whose parity
+        # differs from that of (start + t) hold exact zeros after step t,
+        # also once the walk has wrapped the ring (T > N).
+        N, T = 20, 50
+        rng = np.random.default_rng(40 + B)
+        phases = [random_phases(rng, T, N) for _ in range(B)]
+        start = initial_state_symmetric(N)
+        if B == 1:
+            state, phases = start, phases[0]
+        else:
+            state = WalkerState(np.tile(start.up, (B, 1)), np.tile(start.down, (B, 1)))
+        site = N // 2 - 1
+        steps = []
+
+        def observer(t, s):
+            steps.append(t)
+            other = (site + t + 1) % 2
+            assert not np.any(s.up[..., other::2])
+            assert not np.any(s.down[..., other::2])
+            assert np.any(s.up[..., 1 - other :: 2]) or np.any(s.down[..., 1 - other :: 2])
+
+        evolve(state, phases, T, observer=observer)
+        assert steps == list(range(1, T + 1))
