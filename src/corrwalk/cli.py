@@ -296,6 +296,9 @@ def _cmd_run(args) -> int:
         runs = [(first, _integer("sigma_window", config["sigma_window"], 1))]
     else:
         runs = _checked("sigma_window", size_configs, first, sizes, config["sigma_window"], horizon)
+    fit_window, last = config["fit_window"], min(cfg.T for cfg, _ in runs)
+    if fit_window is not None and fit_window[1] > last:
+        raise InvalidParameterError(f"field 'fit_window': ends at t = {fit_window[1]}, past a run of T = {last}")
     _write_manifest(out_dir, "run", config, config["seed"])
 
     entries = []

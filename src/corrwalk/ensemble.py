@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io
 from .errors import InvalidParameterError, ResourceLimitError, _exponent, _integer, _is_int, _is_real
-from .noise import _check_seed, _mode_scale, derive_seed, generate_coin_phases
+from .noise import CoinPhases, _check_seed, _mode_scale, derive_seed, generate_coin_phases
 from .observables import (
     RegimeLabel,
     TrajectoryStats,
@@ -218,7 +218,9 @@ def run_realization(
     if not (single or listed and len(seed)):
         raise InvalidParameterError(f"seed must be an integer or a non-empty sequence of integers, got {seed!r}")
     seeds = [_check_seed(s) for s in ([seed] if single else seed)]
-    phases = [generate_coin_phases(T, N, alpha_t, beta_s, s, normalize=normalize_variance) for s in seeds]
+    rows = [generate_coin_phases(T, N, alpha_t, beta_s, s, normalize=normalize_variance) for s in seeds]
+    phases = CoinPhases(theta=np.stack([p.theta for p in rows]), phi=np.stack([p.phi for p in rows]))
+    del rows  # Only the stacked copy lives through the evolution.
     start = initial_state_symmetric(N)
     # Read-only views of the one start row: ``evolve`` copies its input.
     shape = (len(seeds), N)

@@ -67,10 +67,10 @@ def _check_seed(seed) -> int:
     return _integer("seed", seed, 0, 2**64 - 1)
 
 
-def _finite_1d(values, name: str) -> np.ndarray:
+def _finite(values, name: str, dims: tuple[int, ...] = (1,)) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidParameterError(f"{name} must be a non-empty 1-D array")
+    if arr.ndim not in dims or arr.size == 0:
+        raise InvalidParameterError(f"{name} must be a non-empty {' or '.join(f'{d}-D' for d in dims)} array")
     if not np.all(np.isfinite(arr)):
         raise InvalidParameterError(f"{name} contains non-finite entries")
     return arr
@@ -78,12 +78,14 @@ def _finite_1d(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoinPhases:
-    """Coin phases for one disorder realization.
+    """Coin phases for one disorder realization, or a batch of them.
 
     ``theta`` holds one angle per time step, ``phi`` one angle per lattice
-    site, each a non-empty 1-D float64 array of values in ``[0, 2*pi)``.
-    Both are stored as read-only views: no copy is made, and the caller's
-    array stays writeable.
+    site, as float64 values in ``[0, 2*pi)``: ``(T',)`` and ``(N,)`` arrays
+    for one realization, ``(B, T')`` and ``(B, N)`` for a batch of ``B``,
+    one per row, as a ``WalkerState`` holds its walkers.  A ``theta`` and
+    ``phi`` whose rows differ are refused.  Both are stored as read-only
+    views: no copy is made, and the caller's array stays writeable.
     """
 
     theta: np.ndarray
@@ -91,11 +93,13 @@ class CoinPhases:
 
     def __post_init__(self) -> None:
         for name in ("theta", "phi"):
-            view = _finite_1d(getattr(self, name), name).view()
+            view = _finite(getattr(self, name), name, (1, 2)).view()
             if view.min() < 0.0 or view.max() >= TWO_PI:
                 raise InvalidParameterError(f"{name} values must lie in [0, 2*pi)")
             view.flags.writeable = False
             object.__setattr__(self, name, view)
+        if self.theta.shape[:-1] != self.phi.shape[:-1]:
+            raise InvalidParameterError(f"CoinPhases theta {self.theta.shape} and phi {self.phi.shape} differ in rows")
 
 
 def generate_fbm_trace(n: int, nu: float, seed: int, *, normalize: bool = False) -> np.ndarray:
@@ -169,7 +173,7 @@ def squash_to_phase(trace) -> np.ndarray:
     InvalidParameterError
         If the trace is empty or contains non-finite entries.
     """
-    vals = np.pi * (np.tanh(_finite_1d(trace, "trace")) + 1.0)
+    vals = np.pi * (np.tanh(_finite(trace, "trace")) + 1.0)
     np.minimum(vals, _PHASE_SUP, out=vals)
     return vals
 

@@ -106,14 +106,14 @@ def dispersion(profile) -> tuple[float, float]:
     Raises
     ------
     InvalidParameterError
-        If the profile has negative entries or does not sum to 1 within
-        1e-8.
+        If the profile has negative or non-finite entries or does not sum
+        to 1 within 1e-8.
     """
     p = np.asarray(profile, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise InvalidParameterError("profile must be a non-empty 1-D array")
-    if np.any(p < 0):
-        raise InvalidParameterError("profile contains negative probabilities")
+    if not np.all((p >= 0) & (p < np.inf)):
+        raise InvalidParameterError("profile contains negative or non-finite probabilities")
     total = p.sum()
     if abs(total - 1.0) > 1e-8:
         raise InvalidParameterError(f"profile sums to {total!r}, expected 1 within 1e-8")
@@ -165,7 +165,8 @@ def fit_hurst(stats: TrajectoryStats, window: tuple[int, int] | None = None) -> 
         boundary-contact time.  If contact comes so early that the default
         cannot be fitted (strongly ballistic runs), the pre-contact span
         ``[max(1, T_eff // 5), T_eff]`` is fitted instead, as a fallback.
-        An explicit window must not extend past boundary contact.
+        An explicit window must not extend past boundary contact or the
+        last recorded step.
 
     Returns
     -------
@@ -178,10 +179,11 @@ def fit_hurst(stats: TrajectoryStats, window: tuple[int, int] | None = None) -> 
     InsufficientDataError
         Fewer than 5 points fall inside the window.
     DegenerateSeriesError
-        The window contains non-positive dispersion values.
+        The window contains non-positive or unrecorded (NaN) dispersion
+        values.
     InvalidParameterError
         ``stats`` is a batch, or the window extends past the
-        boundary-contact time.
+        boundary-contact time or the last recorded step.
 
     A window's error carries the last window tried as ``window``.
     """
@@ -199,12 +201,14 @@ def fit_hurst(stats: TrajectoryStats, window: tuple[int, int] | None = None) -> 
             error = InvalidParameterError(
                 f"fit window [{t_min}, {t_max}] extends past boundary contact at t={contact}"
             )
+        elif t_max > t_last:
+            error = InvalidParameterError(f"fit window [{t_min}, {t_max}] extends past the last step, t={t_last}")
         elif sig.size < 5:
             error = InsufficientDataError(
                 f"fit window [{t_min}, {t_max}] contains {sig.size} points, need at least 5"
             )
-        elif np.any(sig <= 0):
-            error = DegenerateSeriesError("dispersion must be positive inside the fit window")
+        elif not np.all(sig > 0):
+            error = DegenerateSeriesError("dispersion must be recorded (not NaN) and positive inside the fit window")
         else:
             return HurstFit(*_loglog_fit(np.arange(first, first + sig.size), sig), (t_min, t_max), bool(fallback))
     error.window = (t_min, t_max)
@@ -263,15 +267,16 @@ def fit_gamma(points) -> tuple[float, float]:
     """Fit ``sigma_bar ~ N**gamma`` from ``(N, sigma_bar)`` pairs.
 
     Returns ``(gamma, stderr)`` from an unweighted OLS fit of
-    ``log sigma_bar`` vs ``log N``; requires at least 3 positive points.
+    ``log sigma_bar`` vs ``log N``; requires at least 3 points, each
+    positive and finite.
     """
     pts = list(points)
     if len(pts) < 3:
         raise InsufficientDataError(f"need at least 3 (N, sigma_bar) points, got {len(pts)}")
     sizes = np.array([p[0] for p in pts], dtype=np.float64)
     sbar = np.array([p[1] for p in pts], dtype=np.float64)
-    if np.any(sizes <= 0) or np.any(sbar <= 0):
-        raise InvalidParameterError("all points must be positive for a log-log fit")
+    if not np.all((sizes > 0) & (sizes < np.inf) & (sbar > 0) & (sbar < np.inf)):
+        raise InvalidParameterError("all points must be positive and finite for a log-log fit")
     return _loglog_fit(sizes, sbar)
 
 

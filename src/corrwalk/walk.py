@@ -10,7 +10,7 @@ shifts: spin-up amplitude gathers from site ``n + 1``, spin-down from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -136,14 +136,15 @@ def _step_kernel(u, d, exp_theta, exp_phi_scaled, out_up, out_down, scratch, up_
 
 def evolve(
     state: WalkerState,
-    phases: CoinPhases | Sequence[CoinPhases],
+    phases: CoinPhases,
     T: int,
     observer: Callable[[int, WalkerState], None] | None = None,
 ) -> WalkerState:
-    """Apply ``T`` steps, using ``theta[t-1]`` for step ``t`` and fixed ``phi``.
+    """Apply ``T`` steps, using ``theta[..., t-1]`` for step ``t`` and fixed ``phi``.
 
-    ``phases`` is one ``CoinPhases`` for a ``(N,)`` state, or a sequence
-    of them, one per row, for a ``(B, N)`` batch.  Step ``t`` covers the
+    ``phases`` takes the state's shape: ``phi`` is ``(N,)`` for a ``(N,)``
+    state and ``(B, N)`` for a ``(B, N)`` batch, whose row ``b`` steps with
+    ``phases.theta[b]`` and ``phases.phi[b]``.  Step ``t`` covers the
     columns of ``stepped_columns(support(state), t, shape)``: every column
     of a batch, the light cone of one walker.  On an even lattice, a state
     whose nonzero amplitudes all sit on sites of one parity keeps to one
@@ -154,7 +155,7 @@ def evolve(
     lattice, and outside it they are zeros (some may be ``-0.0``); row
     ``b`` of a batch is bit for bit the walker evolved alone.  A state
     holds no clock: to continue a walk after ``a`` steps, pass
-    ``theta[a:]`` and the same ``phi``.
+    ``theta[..., a:]`` and the same ``phi``.
 
     The observer, if given, is called as ``observer(t, state_t)`` after
     each step ``t = 1 .. T``, on the whole lattice.  The state handed to
@@ -164,25 +165,16 @@ def evolve(
     Raises
     ------
     InvalidParameterError
-        If fewer than ``T`` temporal phases are available, the spatial
-        sequences do not match the lattice size, a ``(N,)`` state does not
-        get one ``CoinPhases``, or a batch does not get one per row.
+        If ``phases.phi`` does not have the state's shape, or fewer than
+        ``T`` temporal phases are available.
     """
     T = _integer("T", T, 0)
     shape = state.up.shape
     N = shape[-1]
-    batch = state.up.ndim == 2
-    if isinstance(phases, CoinPhases) == batch:
-        wanted = "a sequence of CoinPhases, one per row" if batch else "one CoinPhases"
-        raise InvalidParameterError(f"phases for a state of shape {shape} must be {wanted}")
-    rows = list(phases) if batch else [phases]
-    if len(rows) != state.up.size // N:
-        raise InvalidParameterError(f"a batch of {shape[0]} walkers needs as many CoinPhases, got {len(rows)}")
-    for row in rows:
-        if len(row.theta) < T:
-            raise InvalidParameterError(f"need {T} temporal phases, sequence has {len(row.theta)}")
-        if len(row.phi) != N:
-            raise InvalidParameterError(f"phi has length {len(row.phi)}, lattice has {N} sites")
+    if phases.phi.shape != shape:
+        raise InvalidParameterError(f"CoinPhases of shape {phases.phi.shape} cannot step a state of shape {shape}")
+    if phases.theta.shape[-1] < T:
+        raise InvalidParameterError(f"need {T} temporal phases, theta has {phases.theta.shape[-1]}")
     # Site n is pair n // P, parity n % P: P = 2 steps one sublattice,
     # starting from the parity p that the state holds; P = 1 whole rows.
     P, p = 1, 0
@@ -194,11 +186,10 @@ def evolve(
     # e^{i phi} / sqrt 2, formed in place in one buffer; [q] holds the
     # factors of parity q's sites, contiguous.
     exp_phi_scaled = np.empty((P, *pairs[:-1]), dtype=np.complex128)
-    np.multiply(1j, np.moveaxis(np.stack([row.phi for row in rows]).reshape(pairs), -1, 0), out=exp_phi_scaled)
+    np.multiply(1j, np.moveaxis(phases.phi.reshape(pairs), -1, 0), out=exp_phi_scaled)
     np.exp(exp_phi_scaled, out=exp_phi_scaled)
     exp_phi_scaled *= INV_SQRT2
-    theta = np.stack([row.theta[:T] for row in rows], axis=-1)
-    exp_theta = np.exp(1j * theta).reshape(T, *shape[:-1], 1)
+    exp_theta = np.exp(1j * phases.theta[..., :T].T).reshape(T, *shape[:-1], 1)
 
     # The amplitudes at step t live in states[t % 2].  Outside what a step
     # writes, the buffers it writes must hold zeros, as the amplitudes there

@@ -232,6 +232,19 @@ class TestRun:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    # One run of T = 48, and sizes whose shortest run has T = 16.
+    @pytest.mark.parametrize("sizes, fit_window", [(None, [5, 49]), ([32, 64, 128], [5, 17])])
+    def test_fit_window_past_a_horizon_exit_2_before_compute(self, tmp_path, capsys, sizes, fit_window):
+        cfg = run_config(tmp_path, fit_window=fit_window, sizes=sizes, sigma_window=4)
+        config = json.loads(cfg.read_text())
+        if sizes is not None:
+            del config["N"], config["T"]
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "'fit_window'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, value", [("realisations", 3), ("sigma_windw", 5), ("snapshot_single", True)]
     )

@@ -286,10 +286,12 @@ class TestBatches:
         assert result.contacted_realizations == config.realizations
 
     def test_traced_peak_of_one_batch(self):
-        # The start rows are views, e^{i phi} / sqrt 2 is formed in place and
-        # the kernel's scratch holds one sublattice, so one batch holds about
-        # 12.6 (B, N) complex arrays at its peak (13.1 with whole-row scratch,
-        # 15.1 with tiled start rows and a temporary phase exponential too).
+        # The start rows are views, e^{i phi} / sqrt 2 is formed in place, the
+        # kernel's scratch holds one sublattice and only the stacked phases
+        # live through the evolution, so one batch holds about 12.3 (B, N)
+        # complex arrays at its peak (12.6 with the per-row phases instead,
+        # 13.1 with whole-row scratch as well, 15.1 with tiled start rows and
+        # a temporary phase exponential too).
         N, T, B = 1000, 500, 8
         seeds = [derive_seed(5, r) for r in range(1, B + 1)]
         run_realization(N, T, 4.0, 4.0, seeds, snapshot_times=(50, 200, 500))

@@ -111,6 +111,11 @@ class TestDispersion:
         with pytest.raises(InvalidParameterError):
             dispersion(p)
 
+    def test_rejects_nan(self):
+        # A NaN sum passes the normalisation check, which compares it with 1.
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            dispersion([np.nan, 1.0])
+
 
 class TestCentredMoments:
     N = 4000
@@ -208,13 +213,16 @@ class TestFitHurst:
         with pytest.raises(InsufficientDataError):
             fit_hurst(stats, window=(7, 10))
 
-    def test_explicit_window_past_last_step_fits_the_steps_that_exist(self):
+    def test_explicit_window_past_last_step_rejected(self):
         t = np.arange(0, 101)
         stats = make_stats(t, 2.0 * np.maximum(t, 1) ** 0.7 * (1.0 + 0.05 * np.sin(t)))
-        fit = fit_hurst(stats, window=(10, 150))
-        assert tuple(fit) == tuple(fit_hurst(stats, window=(10, 100)))
-        assert fit.window == (10, 150)
+        fit = fit_hurst(stats, window=(10, 100))
         assert (fit.H, fit.stderr) == pytest.approx((0.7013522636161793, 0.0062655317826876816), rel=1e-12)
+        with pytest.raises(InvalidParameterError, match="last step, t=100") as refused:
+            fit_hurst(stats, window=(10, 101))
+        assert refused.value.window == (10, 101)
+        with pytest.raises(InvalidParameterError, match="last step, t=32"):
+            fit_hurst(run_realization(64, 32, 4.0, 4.0, 5), (5, 10000))
         # A window that ends before step 1 holds no step.
         with pytest.raises(InsufficientDataError, match="contains 0 points"):
             fit_hurst(stats, window=(10, -5))
@@ -225,6 +233,15 @@ class TestFitHurst:
         sigma[30] = 0.0
         with pytest.raises(DegenerateSeriesError):
             fit_hurst(make_stats(t, sigma), window=(10, 50))
+
+    def test_unrecorded_steps_in_window(self):
+        # Mean and sigma are NaN before record_from; the default window
+        # (6, 32) starts before step 20.
+        stats = run_realization(64, 32, 4.0, 4.0, 5, record_from=20)
+        with pytest.raises(DegenerateSeriesError, match="NaN") as refused:
+            fit_hurst(stats)
+        assert refused.value.window == (6, 32)
+        assert fit_hurst(stats, (20, 32)).window == (20, 32)
 
 
 class TestLongtimeAvgDispersion:
@@ -320,6 +337,11 @@ class TestFitGamma:
     def test_rejects_non_positive(self):
         with pytest.raises(InvalidParameterError):
             fit_gamma([(1000, 30.0), (2000, 0.0), (4000, 60.0)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            fit_gamma([(1000, 30.0), (2000, bad), (4000, 60.0)])
 
 
 class TestClassifyRegime:

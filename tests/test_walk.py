@@ -157,19 +157,15 @@ class TestEvolve:
         np.testing.assert_array_equal(out.up, expected[T].up)
         np.testing.assert_array_equal(out.down, expected[T].down)
 
-    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("B", [None, 3])
     def test_two_calls_continue_one_walk(self, B):
         # A state holds no clock: the second call is handed the phases from
         # step a + 1 on, and the walk equals one call of a + b steps.
         N, a, b = 48, 7, 12
-        rng = np.random.default_rng(31 + B)
-        phases = [random_phases(rng, a + b, N) for _ in range(B)]
-        start = initial_state_symmetric(N)
-        if B == 1:
-            state, first, rest = start, phases[0], CoinPhases(theta=phases[0].theta[a:], phi=phases[0].phi)
-        else:
-            state = WalkerState(np.tile(start.up, (B, 1)), np.tile(start.down, (B, 1)))
-            first, rest = phases, [CoinPhases(theta=p.theta[a:], phi=p.phi) for p in phases]
+        rng = np.random.default_rng(31 + (B or 1))
+        first = random_phases(rng, a + b, N, B)
+        rest = CoinPhases(theta=first.theta[..., a:], phi=first.phi)
+        state = tiled(initial_state_symmetric(N), B)
         once = evolve(state, first, a + b)
         twice = evolve(evolve(state, first, a), rest, b)
         np.testing.assert_array_equal(twice.up, once.up)
@@ -180,18 +176,18 @@ class TestEvolve:
         # ``run_realization`` builds it; the result equals a tiled start.
         N, T, B = 40, 30, 4
         rng = np.random.default_rng(77)
-        phases = [random_phases(rng, T, N) for _ in range(B)]
+        phases = random_phases(rng, T, N, B)
         start = initial_state_symmetric(N)
         shared = WalkerState(np.broadcast_to(start.up, (B, N)), np.broadcast_to(start.down, (B, N)))
         assert not shared.up.flags.writeable
-        tiled = WalkerState(np.tile(start.up, (B, 1)), np.tile(start.down, (B, 1)))
+        rows = tiled(start, B)
         out = evolve(shared, phases, T)
-        expected = evolve(tiled, phases, T)
+        expected = evolve(rows, phases, T)
         np.testing.assert_array_equal(out.up, expected.up)
         np.testing.assert_array_equal(out.down, expected.down)
         # The views, and so the row they show, are unchanged.
-        np.testing.assert_array_equal(shared.up, tiled.up)
-        np.testing.assert_array_equal(shared.down, tiled.down)
+        np.testing.assert_array_equal(shared.up, rows.up)
+        np.testing.assert_array_equal(shared.down, rows.down)
 
     @pytest.mark.parametrize("draw", range(20))
     def test_matches_dense_oracle(self, draw):
@@ -259,8 +255,22 @@ class TestEvolve:
             evolve(initial_state_symmetric(8), zero_phases(4, 8), T)
 
 
-def random_phases(rng, T, N):
-    return CoinPhases(theta=rng.uniform(0, 2 * np.pi, T), phi=rng.uniform(0, 2 * np.pi, N))
+def random_phases(rng, T, N, B=None):
+    """Uniform phases for one walker, or ``(B, T)`` and ``(B, N)`` ones for a batch of ``B``."""
+    rows = () if B is None else (B,)
+    return CoinPhases(theta=rng.uniform(0, 2 * np.pi, (*rows, T)), phi=rng.uniform(0, 2 * np.pi, (*rows, N)))
+
+
+def row(phases, b):
+    """Row ``b`` of a batch's phases, for the walker evolved alone."""
+    return CoinPhases(theta=phases.theta[b], phi=phases.phi[b])
+
+
+def tiled(walker, B):
+    """``B`` copies of one walker as a ``(B, N)`` batch; the walker itself for ``B = None``."""
+    if B is None:
+        return walker
+    return WalkerState(np.tile(walker.up, (B, 1)), np.tile(walker.down, (B, 1)))
 
 
 class TestLightCone:
@@ -309,11 +319,12 @@ class TestLightCone:
     def test_windowed_evolve_matches_dense_oracle_and_full_lattice(self, entries):
         N, T = 24, 30
         rows = entries if isinstance(entries[0], list) else [entries]
+        B = len(rows)
         rng = np.random.default_rng(len(entries) + rows[0][0][0])
-        phases = [random_phases(rng, T, N) for _ in rows]
-        walkers = [initial_state_generic(N, row)[0] for row in rows]
-        if len(rows) == 1:
-            state, batch_phases = walkers[0], phases[0]
+        phases = random_phases(rng, T, N, B)
+        walkers = [initial_state_generic(N, sites)[0] for sites in rows]
+        if B == 1:
+            state, batch_phases = walkers[0], row(phases, 0)
         else:
             state = WalkerState(np.stack([w.up for w in walkers]), np.stack([w.down for w in walkers]))
             batch_phases = phases
@@ -324,10 +335,11 @@ class TestLightCone:
         evolve(state, batch_phases, T, observer=lambda t, s: seen.setdefault(t, (s.up.copy(), s.down.copy())))
         for t in range(1, T + 1):
             up, down = (np.atleast_2d(a) for a in seen[t])
-            assert up.shape == (len(rows), N)
-            for b, row_phases in enumerate(phases):
-                vecs[b] = dense_step_unitary(row_phases.theta[t - 1], row_phases.phi) @ vecs[b]
-                full[b] = whole_lattice_step(full[b], row_phases.theta[t - 1], row_phases.phi)
+            assert up.shape == (B, N)
+            for b in range(B):
+                theta, phi = phases.theta[b, t - 1], phases.phi[b]
+                vecs[b] = dense_step_unitary(theta, phi) @ vecs[b]
+                full[b] = whole_lattice_step(full[b], theta, phi)
                 np.testing.assert_allclose(np.concatenate([up[b], down[b]]), vecs[b], atol=1e-12)
                 # Stepping the light cone, or a batch's whole rows, changes
                 # no amplitude's bits.
@@ -337,13 +349,13 @@ class TestLightCone:
     def test_batch_rows_are_the_walkers_evolved_alone(self):
         N, T, B = 40, 45, 5
         rng = np.random.default_rng(8)
-        phases = [random_phases(rng, T, N) for _ in range(B)]
+        phases = random_phases(rng, T, N, B)
         start = initial_state_symmetric(N)
-        batch = WalkerState(np.tile(start.up, (B, 1)), np.tile(start.down, (B, 1)))
+        batch = tiled(start, B)
         out = evolve(batch, phases, T)
         assert batch.lattice_size == B * N
         for b in range(B):
-            alone = evolve(start, phases[b], T)
+            alone = evolve(start, row(phases, b), T)
             np.testing.assert_array_equal(out.up[b], alone.up)
             np.testing.assert_array_equal(out.down[b], alone.down)
         np.testing.assert_allclose(norm(out), np.ones(B), atol=1e-12)
@@ -353,31 +365,29 @@ class TestLightCone:
         rng = np.random.default_rng(0)
         batch = WalkerState(np.ones((3, N), complex), np.zeros((3, N), complex))
         with pytest.raises(InvalidParameterError, match="CoinPhases"):
-            evolve(batch, [random_phases(rng, 4, N)] * 2, 4)
+            evolve(batch, random_phases(rng, 4, N, 2), 4)
 
-    # A (N,) state with a list of CoinPhases; (B, N) batches with one CoinPhases.
-    @pytest.mark.parametrize("shape, listed", [((10,), True), ((1, 10), False), ((2, 10), False)])
-    def test_phases_must_match_the_state_shape(self, shape, listed):
-        phases = random_phases(np.random.default_rng(0), 4, shape[-1])
+    @pytest.mark.parametrize(
+        "shape, theta_rows, phi_rows",
+        [((10,), (2,), (2,)), ((1, 10), (), ()), ((2, 10), (), ()), ((2, 10), (3,), (2,)), ((2, 10), (2,), (1,))],
+        ids=["batch-for-a-walker", "walker-for-one-row", "walker-for-two-rows", "theta-rows-differ", "phi-rows-differ"],
+    )
+    def test_phases_must_match_the_state_shape(self, shape, theta_rows, phi_rows):
         state = WalkerState(np.ones(shape, complex), np.zeros(shape, complex))
         with pytest.raises(InvalidParameterError, match="CoinPhases"):
-            evolve(state, [phases] if listed else phases, 4)
+            evolve(state, CoinPhases(theta=np.zeros((*theta_rows, 4)), phi=np.zeros((*phi_rows, shape[-1]))), 4)
 
 
 class TestSublattice:
-    @pytest.mark.parametrize("B", [1, 2, 8])
+    @pytest.mark.parametrize("B", [None, 2, 8])
     def test_other_parity_is_exactly_zero_after_every_step(self, B):
         # From the symmetric start on an even ring, the sites whose parity
         # differs from that of (start + t) hold exact zeros after step t,
         # also once the walk has wrapped the ring (T > N).
         N, T = 20, 50
-        rng = np.random.default_rng(40 + B)
-        phases = [random_phases(rng, T, N) for _ in range(B)]
-        start = initial_state_symmetric(N)
-        if B == 1:
-            state, phases = start, phases[0]
-        else:
-            state = WalkerState(np.tile(start.up, (B, 1)), np.tile(start.down, (B, 1)))
+        rng = np.random.default_rng(40 + (B or 1))
+        phases = random_phases(rng, T, N, B)
+        state = tiled(initial_state_symmetric(N), B)
         site = N // 2 - 1
         steps = []
 
