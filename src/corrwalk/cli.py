@@ -16,12 +16,12 @@ import logging
 import os
 import sys
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 
 from . import __version__, io
 from .ensemble import (
     DEFAULT_UPDATE_CAP,
+    HORIZONS,
     EnsembleConfig,
     _grid,
     _scan_sizes,
@@ -37,7 +37,9 @@ from .errors import (
     _integer,
 )
 from .noise import generate_fbm_trace, squash_to_phase
-from .observables import classify_regime, fit_gamma, fit_hurst, longtime_avg_dispersion, scaled_windows
+from .observables import (
+    DEFAULT_SIGMA_WINDOW, classify_regime, fit_gamma, fit_hurst, longtime_avg_dispersion, scaled_windows
+)
 from .presets import preset_names, resolve_preset
 
 log = logging.getLogger("corrwalk")
@@ -118,7 +120,7 @@ def _field(config: dict, name: str, kind, default=_REQUIRED):
 _ENSEMBLE_FIELDS = {
     "realizations": (int, 200),
     "seed": (int, 0),
-    "sigma_window": (int, 100),
+    "sigma_window": (int, DEFAULT_SIGMA_WINDOW),
     "normalize_variance": (bool, False),
     "update_cap": (int, DEFAULT_UPDATE_CAP),
 }
@@ -249,8 +251,8 @@ def _check_run_config(config: dict) -> dict:
     if (config["N"] is None) == (config["sizes"] is None):
         raise InvalidParameterError("fields 'N'/'sizes': exactly one must be set")
 
-    if config["t_rule"] not in (None, "N/2", "5N"):
-        raise InvalidParameterError(f"field 't_rule': expected 'N/2' or '5N', got {config['t_rule']!r}")
+    if config["t_rule"] not in (None, *HORIZONS):
+        raise InvalidParameterError(f"field 't_rule': expected one of {list(HORIZONS)}, got {config['t_rule']!r}")
     if config["T"] is not None and config["t_rule"] is not None:
         raise InvalidParameterError("fields 'T'/'t_rule': at most one may be set")
     if config["T"] is None and config["t_rule"] is None:
@@ -267,12 +269,6 @@ def _check_run_config(config: dict) -> dict:
     return config
 
 
-def _time_horizon(N: int, T: int | None, t_rule: str) -> int:
-    if T is not None:
-        return T
-    return 5 * N if t_rule == "5N" else N // 2
-
-
 def _cmd_run(args) -> int:
     config = _check_run_config(_resolved_config(args, "run", {}))
     out_dir = _out_dir(args, "run")
@@ -282,7 +278,8 @@ def _cmd_run(args) -> int:
         _checked("sizes", _scan_sizes, sizes, 1)
     # With sizes, the largest run, whose traces are the longest.
     N = config["N"] if sizes is None else max(sizes)
-    horizon = partial(_time_horizon, T=config["T"], t_rule=config["t_rule"])
+    t_rule = config["t_rule"]
+    horizon = HORIZONS[t_rule] if t_rule is not None else lambda n: config["T"]
     first = _ensemble_config(
         config, N, horizon(N), config["alpha_t"], config["beta_s"],
         snapshot_times=tuple(config["snapshot_times"]),
@@ -332,12 +329,15 @@ def _cmd_run(args) -> int:
         entries.append(entry)
 
     summary = {"config": config, "results": entries}
-    if len(points) >= 3:
+    if len(points) >= 3 and t_rule is None:
+        # sigma_bar(N) at one shared horizon holds no size scaling.
+        log.warning("gamma not fitted: every size ran to T = %d; a t_rule gives each size its horizon", config["T"])
+    elif len(points) >= 3:
         gamma, err = fit_gamma(points)
         summary["gamma"] = {
             "value": gamma,
             "stderr": err,
-            "regime": classify_regime(gamma).value,
+            "regime": classify_regime(gamma),
             "points": [[n, s] for n, s in points],
         }
     io.write_json(out_dir / "summary.json", summary)
@@ -356,8 +356,9 @@ def _cmd_phase_diagram(args) -> int:
     sizes = _checked("sizes", _scan_sizes, config["sizes"])
     alphas = _checked("grid_alpha", _grid, "alpha_t", config["grid_alpha"])
     betas = _checked("grid_beta", _grid, "beta_s", config["grid_beta"])
-    _checked("sigma_window", scaled_windows, config["sigma_window"], [sizes[0] // 2])
-    base = _ensemble_config(config, sizes[0], sizes[0] // 2, alphas[0], betas[0])
+    T = HORIZONS["N/2"](sizes[0])
+    _checked("sigma_window", scaled_windows, config["sigma_window"], [T])
+    base = _ensemble_config(config, sizes[0], T, alphas[0], betas[0])
 
     cells = phase_diagram_sweep(
         config["grid_alpha"],

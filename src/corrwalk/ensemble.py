@@ -24,7 +24,8 @@ from . import io
 from .errors import InvalidParameterError, ResourceLimitError, _exponent, _integer, _is_int, _is_real
 from .noise import CoinPhases, _check_seed, _mode_scale, derive_seed, generate_coin_phases
 from .observables import (
-    RegimeLabel,
+    DEFAULT_SIGMA_WINDOW,
+    REGIMES,
     TrajectoryStats,
     centred_sums,
     classify_regime,
@@ -344,17 +345,21 @@ def _reduce(batches, config: EnsembleConfig) -> tuple[TrajectoryStats, int]:
     return stats, contacted
 
 
+# Horizon of a size-N run by each ``t_rule`` of ``corrwalk run``; size scans and sweeps run "N/2".
+HORIZONS = {"N/2": lambda N: N // 2, "5N": lambda N: 5 * N}
+
+
 def size_configs(
-    base: EnsembleConfig, sizes, window_len: int, horizon=None
+    base: EnsembleConfig, sizes, window_len: int, horizon=HORIZONS["N/2"]
 ) -> list[tuple[EnsembleConfig, int]]:
     """Validated ``(config, window)`` for each lattice size, in the order given.
 
-    Size ``N`` runs ``horizon(N)`` steps (default ``N // 2``) from master
-    seed ``derive_seed(base.master_seed, "size", N)`` without snapshots and
-    averages its final ``window`` steps (``scaled_windows``); every other
-    field comes from ``base``.  Raises ``InvalidParameterError`` on no
-    size, a repeated size or one that is not an integer >= 2, an invalid
-    config or a ``window_len`` longer than the shortest run, and
+    Size ``N`` runs ``horizon(N)`` steps (by default ``HORIZONS["N/2"]``)
+    from master seed ``derive_seed(base.master_seed, "size", N)`` without
+    snapshots and averages its final ``window`` steps (``scaled_windows``);
+    every other field comes from ``base``.  Raises ``InvalidParameterError``
+    on no size, a repeated size or one that is not an integer >= 2, an
+    invalid config or a ``window_len`` longer than the shortest run, and
     ``ResourceLimitError`` on a size over the update cap.
     """
     _scan_sizes(sizes, least=1)
@@ -362,7 +367,7 @@ def size_configs(
         replace(
             base,
             N=n,
-            T=horizon(n) if horizon is not None else n // 2,
+            T=horizon(n),
             master_seed=derive_seed(base.master_seed, "size", n),
             snapshot_times=(),
         )
@@ -394,15 +399,15 @@ def size_scan(
     base: EnsembleConfig,
     sizes,
     *,
-    window_len: int = 100,
+    window_len: int = DEFAULT_SIGMA_WINDOW,
     workers: int | None = None,
 ) -> list[tuple[int, float]]:
     """Long-time mean dispersion versus lattice size.
 
-    Runs one ensemble per size with ``T = N // 2`` and independent derived
-    seeds, and averages the dispersion over a window proportional to the
-    horizon: the smallest size uses its final ``window_len`` steps and
-    size ``N`` its final ``window_len * T_N // T_min`` (``scaled_windows``).
+    Runs one ensemble per size, ``HORIZONS["N/2"]`` steps long, with
+    independent derived seeds, and averages the dispersion over a window
+    proportional to the horizon: the smallest size uses its final ``window_len``
+    steps and size ``N`` its final ``window_len * T_N // T_min`` (``scaled_windows``).
     Mean and dispersion are recorded only inside each size's window.
     The output is ordered by increasing ``N``.
 
@@ -432,13 +437,11 @@ def _scan_points(configs, results) -> list[tuple[int, float]]:
     return points
 
 
-_REGIMES = [label.value for label in RegimeLabel]
-
 # What each result field of a cell file must hold.
 _CELL_FIELDS = {
     "gamma": ("a number", _is_real),
     "stderr": ("a number", _is_real),
-    "regime": ("one of " + ", ".join(_REGIMES), lambda v: v in _REGIMES),
+    "regime": ("one of " + ", ".join(REGIMES), lambda v: v in REGIMES),
     "points": (
         "a list of [N, sigma_bar] pairs",
         lambda v: isinstance(v, list)
@@ -478,7 +481,7 @@ def phase_diagram_sweep(
     base: EnsembleConfig,
     sizes,
     *,
-    window_len: int = 100,
+    window_len: int = DEFAULT_SIGMA_WINDOW,
     workers: int | None = None,
     out_dir: str | Path | None = None,
     force: bool = False,
@@ -515,7 +518,7 @@ def phase_diagram_sweep(
         for j, beta in enumerate(betas):
             # The cell's smallest run, from which ``size_configs`` derives all its runs.
             cell_base = replace(
-                base, N=ordered_sizes[0], T=ordered_sizes[0] // 2, alpha_t=alpha, beta_s=beta,
+                base, N=ordered_sizes[0], T=HORIZONS["N/2"](ordered_sizes[0]), alpha_t=alpha, beta_s=beta,
                 master_seed=derive_seed(base.master_seed, "cell", i, j), snapshot_times=(),
             )
             configs = size_configs(cell_base, ordered_sizes, window_len)
@@ -540,9 +543,7 @@ def phase_diagram_sweep(
         for record, cell_file, configs in pending:
             cell_points = _scan_points(configs, results)
             g, se = fit_gamma(cell_points)
-            record.update(
-                gamma=g, stderr=se, regime=classify_regime(g).value, points=[[n, s] for n, s in cell_points]
-            )
+            record.update(gamma=g, stderr=se, regime=classify_regime(g), points=[[n, s] for n, s in cell_points])
             if cell_file is not None:
                 io.write_json(cell_file, record)
             log.info("cell (alpha=%g, beta=%g): gamma=%.4f (%s)", record["alpha"], record["beta"], g, record["regime"])

@@ -2,23 +2,20 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .errors import DegenerateSeriesError, InsufficientDataError, InvalidParameterError, _integer
 from .walk import WalkerState
 
+# The dynamical regimes by increasing size-scaling exponent, and the edges between their bands.
+REGIMES = ("localized", "subdiffusive", "diffusive", "superdiffusive", "ballistic")
+REGIME_EDGES = (0.10, 0.40, 0.60, 0.90)
 
-class RegimeLabel(Enum):
-    """Dynamical regime classified from the size-scaling exponent."""
-
-    LOCALIZED = "localized"
-    SUBDIFFUSIVE = "subdiffusive"
-    DIFFUSIVE = "diffusive"
-    SUPERDIFFUSIVE = "superdiffusive"
-    BALLISTIC = "ballistic"
+# Steps of the long-time dispersion average (at the smallest size of a scan).
+DEFAULT_SIGMA_WINDOW = 100
 
 
 @dataclass
@@ -215,7 +212,7 @@ def fit_hurst(stats: TrajectoryStats, window: tuple[int, int] | None = None) -> 
     raise error
 
 
-def longtime_avg_dispersion(stats: TrajectoryStats, window_len: int = 100) -> float:
+def longtime_avg_dispersion(stats: TrajectoryStats, window_len: int = DEFAULT_SIGMA_WINDOW) -> float:
     """Arithmetic mean of the dispersion over the final ``window_len`` entries.
 
     The window is used as given.  Size scans pass a window that grows
@@ -280,22 +277,11 @@ def fit_gamma(points) -> tuple[float, float]:
     return _loglog_fit(sizes, sbar)
 
 
-def classify_regime(gamma: float) -> RegimeLabel:
-    """Map a size-scaling exponent to its dynamical regime.
-
-    Half-open bands of width 0.1 around the nominal values: below 0.10
-    localized, [0.10, 0.40) subdiffusive, [0.40, 0.60) diffusive,
-    [0.60, 0.90) superdiffusive, 0.90 and above ballistic.
-    """
+def classify_regime(gamma: float) -> str:
+    """The label of a size-scaling exponent: ``REGIMES[i]`` for gamma in the
+    half-open band ``[REGIME_EDGES[i - 1], REGIME_EDGES[i])``, so an edge
+    belongs to the band above it (0.10 is subdiffusive, 0.90 ballistic)."""
     g = float(gamma)
     if not np.isfinite(g):
         raise InvalidParameterError(f"gamma must be finite, got {gamma}")
-    if g < 0.10:
-        return RegimeLabel.LOCALIZED
-    if g < 0.40:
-        return RegimeLabel.SUBDIFFUSIVE
-    if g < 0.60:
-        return RegimeLabel.DIFFUSIVE
-    if g < 0.90:
-        return RegimeLabel.SUPERDIFFUSIVE
-    return RegimeLabel.BALLISTIC
+    return REGIMES[bisect_right(REGIME_EDGES, g)]

@@ -95,6 +95,19 @@ class TestRun:
             "ballistic",
         }
 
+    def test_sizes_at_one_fixed_horizon_fit_no_gamma(self, tmp_path, caplog):
+        # With "T": 8 every size runs 8 steps, and a fit of those sigma_bar
+        # read gamma = -0.19, "localized", where the "N/2" rule reads 0.44.
+        cfg = run_config(tmp_path, N=None, T=8, sizes=[16, 32, 64], sigma_window=4)
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="corrwalk"):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert "gamma" not in summary
+        assert [(r["N"], r["T"], r["sigma_window"]) for r in summary["results"]] == [(16, 8, 4), (32, 8, 4), (64, 8, 4)]
+        assert all(r["sigma_bar"] > 0 for r in summary["results"])
+        assert "gamma not fitted" in caplog.text
+
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         cfg = run_config(tmp_path, T=0)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

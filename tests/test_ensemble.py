@@ -10,7 +10,7 @@ from corrwalk import ensemble
 from corrwalk import io as cwio
 from corrwalk.ensemble import _batch_size, _load_cell, phase_diagram_sweep, run_realization, size_configs
 from corrwalk.noise import derive_seed, generate_coin_phases
-from corrwalk.observables import RegimeLabel, longtime_avg_dispersion
+from corrwalk.observables import REGIMES, longtime_avg_dispersion
 from corrwalk.walk import initial_state_symmetric
 
 from _oracles import whole_lattice_step
@@ -488,7 +488,7 @@ class TestPhaseDiagramSweep:
             out_dir=tmp_path,
         )
         assert len(sweep) == 1
-        assert sweep[0]["regime"] in [label.value for label in RegimeLabel]
+        assert sweep[0]["regime"] in REGIMES
         assert (tmp_path / "cells" / "cell_000_000.json").exists()
 
     def test_bad_cell_rejected_before_any_cell_is_written(self, tmp_path):

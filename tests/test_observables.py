@@ -16,7 +16,6 @@ from corrwalk import (
 from corrwalk.ensemble import run_realization
 from corrwalk.noise import CoinPhases, generate_coin_phases
 from corrwalk.observables import (
-    RegimeLabel,
     TrajectoryStats,
     centred_sums,
     finish_moments,
@@ -348,27 +347,31 @@ class TestClassifyRegime:
     @pytest.mark.parametrize(
         "gamma,expected",
         [
-            (0.05, RegimeLabel.LOCALIZED),
-            (-0.02, RegimeLabel.LOCALIZED),
-            (0.10, RegimeLabel.SUBDIFFUSIVE),
-            (0.25, RegimeLabel.SUBDIFFUSIVE),
-            (0.40, RegimeLabel.DIFFUSIVE),
-            (0.5, RegimeLabel.DIFFUSIVE),
-            (0.60, RegimeLabel.SUPERDIFFUSIVE),
-            (0.75, RegimeLabel.SUPERDIFFUSIVE),
-            (0.90, RegimeLabel.BALLISTIC),
-            (1.0, RegimeLabel.BALLISTIC),
-            (1.7, RegimeLabel.BALLISTIC),
+            (0.05, "localized"),
+            (-0.02, "localized"),
+            # Each band edge belongs to the band above it.
+            (np.nextafter(0.10, 0.0), "localized"),
+            (0.10, "subdiffusive"),
+            (0.25, "subdiffusive"),
+            (np.nextafter(0.40, 0.0), "subdiffusive"),
+            (0.40, "diffusive"),
+            (0.5, "diffusive"),
+            (np.nextafter(0.60, 0.0), "diffusive"),
+            (0.60, "superdiffusive"),
+            (0.75, "superdiffusive"),
+            (np.nextafter(0.90, 0.0), "superdiffusive"),
+            (0.90, "ballistic"),
+            (1.0, "ballistic"),
+            (1.7, "ballistic"),
         ],
     )
     def test_thresholds(self, gamma, expected):
-        assert classify_regime(gamma) is expected
+        assert classify_regime(gamma) == expected
 
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidParameterError):
-            classify_regime(float("nan"))
-        with pytest.raises(InvalidParameterError):
-            classify_regime(float("inf"))
+        for gamma in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                classify_regime(gamma)
 
 
 class TestTrajectoryStats:
