@@ -20,8 +20,8 @@ from pathlib import Path
 
 from . import __version__, io
 from .ensemble import (
-    DEFAULT_UPDATE_CAP,
     HORIZONS,
+    UPDATE_CAP,
     EnsembleConfig,
     _grid,
     _scan_sizes,
@@ -121,8 +121,6 @@ _ENSEMBLE_FIELDS = {
     "realizations": (int, 200),
     "seed": (int, 0),
     "sigma_window": (int, DEFAULT_SIGMA_WINDOW),
-    "normalize_variance": (bool, False),
-    "update_cap": (int, DEFAULT_UPDATE_CAP),
 }
 # Each command's fields, as ``name: (kind, default or _REQUIRED)``.
 _FIELDS = {
@@ -141,7 +139,6 @@ _FIELDS = {
         "beta_s": (float, _REQUIRED),
         "snapshot_times": ([int], ()),
         "fit_window": ([int], None),
-        "snapshot_single": (bool, False),
         **_ENSEMBLE_FIELDS,
     },
     "phase-diagram": {
@@ -151,13 +148,26 @@ _FIELDS = {
         **_ENSEMBLE_FIELDS,
     },
 }
+# Retired fields: the one value each may still hold, and the commands whose manifests held it.
+_RETIRED = {
+    "normalize_variance": (False, ("run", "phase-diagram")),
+    "update_cap": (UPDATE_CAP, ("run", "phase-diagram")),
+    "snapshot_single": (False, ("run",)),
+}
 
 
 def _parse(config: dict, command: str) -> dict:
     """Every field of ``command`` read from ``config`` as its kind, or its
-    default; a field the command does not read, such as a misspelt one, is refused."""
+    default; a field the command does not read, such as a misspelt one, is
+    refused.  A retired field is read as its old kind and dropped if it holds its one value, else refused."""
     fields = _FIELDS[command]
-    unknown = sorted(set(config) - set(fields))
+    retired = {name: value for name, (value, commands) in _RETIRED.items() if command in commands}
+    for name, value in retired.items():
+        if _field(config, name, type(value), value) != value:
+            raise InvalidParameterError(
+                f"field {name!r}: retired; only {json.dumps(value)} is accepted, got {config[name]!r}"
+            )
+    unknown = sorted(set(config) - set(fields) - set(retired))
     if unknown:
         raise InvalidParameterError(f"unknown field(s) {unknown}; known fields are {sorted(fields)}")
     return {name: _field(config, name, kind, default) for name, (kind, default) in fields.items()}
@@ -172,12 +182,9 @@ def _checked(name: str, rule, *args):
 
 
 def _ensemble_config(config: dict, N: int, T: int, alpha_t: float, beta_s: float, **extra) -> EnsembleConfig:
-    """One run's ``EnsembleConfig``; the rows of ``_ENSEMBLE_FIELDS`` come from ``config``."""
-    return EnsembleConfig(
-        N=N, T=T, alpha_t=alpha_t, beta_s=beta_s, realizations=config["realizations"],
-        master_seed=config["seed"], normalize_variance=config["normalize_variance"],
-        update_cap=config["update_cap"], **extra,
-    )
+    """One run's ``EnsembleConfig``; its realizations and seed come from ``config``."""
+    return EnsembleConfig(N=N, T=T, alpha_t=alpha_t, beta_s=beta_s, realizations=config["realizations"],
+                          master_seed=config["seed"], **extra)
 
 
 def _out_dir(args, command: str) -> Path:
@@ -243,11 +250,7 @@ def _cmd_trace(args) -> int:
 
 
 def _check_run_config(config: dict) -> dict:
-    """A parsed run config through its cross-field rules, with ``t_rule``
-    resolved and ``snapshot_single`` dropped."""
-    # Manifests of earlier versions hold "snapshot_single": false; snapshots are always averaged.
-    if config.pop("snapshot_single"):
-        raise InvalidParameterError("field 'snapshot_single': no longer supported; snapshots are averaged")
+    """A parsed run config through its cross-field rules, with ``t_rule`` resolved."""
     if (config["N"] is None) == (config["sizes"] is None):
         raise InvalidParameterError("fields 'N'/'sizes': exactly one must be set")
 
@@ -329,7 +332,9 @@ def _cmd_run(args) -> int:
         entries.append(entry)
 
     summary = {"config": config, "results": entries}
-    if len(points) >= 3 and t_rule is None:
+    if sizes is not None and len(sizes) < 3:
+        log.warning("gamma not fitted: %d sizes ran, and a fit needs 3 or more", len(sizes))
+    elif len(points) >= 3 and t_rule is None:
         # sigma_bar(N) at one shared horizon holds no size scaling.
         log.warning("gamma not fitted: every size ran to T = %d; a t_rule gives each size its horizon", config["T"])
     elif len(points) >= 3:

@@ -43,7 +43,8 @@ log = logging.getLogger(__name__)
 # contact; statistics past it include periodic wrap-around.
 BOUNDARY_CONTACT_EPS = 1e-8
 
-DEFAULT_UPDATE_CAP = 1_000_000_000
+# Most amplitude updates N * T per realization; the largest paper preset takes 5.12e8.
+UPDATE_CAP = 1_000_000_000
 
 # Most lattice sites (realizations x N) evolved together in one batch.  At
 # desk sizes a step costs mostly fixed per-call dispatch, which a batch
@@ -53,7 +54,7 @@ DEFAULT_UPDATE_CAP = 1_000_000_000
 BATCH_SITES = 8192
 
 
-def _run_arguments(N, T, alpha_t, beta_s, snapshot_times, normalize_variance) -> dict:
+def _run_arguments(N, T, alpha_t, beta_s, snapshot_times) -> dict:
     """The arguments of one run by name, each checked by the rule of its
     ``EnsembleConfig`` field, with traces that fit in float64
     (``_mode_scale``), and stored as plain ``int``, ``float`` and tuple."""
@@ -62,8 +63,6 @@ def _run_arguments(N, T, alpha_t, beta_s, snapshot_times, normalize_variance) ->
         N=N, T=T, alpha_t=_exponent("alpha_t", alpha_t), beta_s=_exponent("beta_s", beta_s),
         snapshot_times=tuple(_integer("snapshot_times entry", t, 0, T) for t in snapshot_times),
     )
-    if not isinstance(normalize_variance, bool):
-        raise InvalidParameterError(f"normalize_variance must be a bool, got {normalize_variance!r}")
     _mode_scale("alpha_t", checked["alpha_t"], T)
     _mode_scale("beta_s", checked["beta_s"], N)
     return checked
@@ -74,7 +73,7 @@ class EnsembleConfig:
     """Parameters of one disorder-averaged run.
 
     Raises ``InvalidParameterError`` on an invalid field and
-    ``ResourceLimitError`` if ``N * T`` exceeds ``update_cap``.
+    ``ResourceLimitError`` if ``N * T`` exceeds ``UPDATE_CAP``.
     """
 
     N: int
@@ -84,23 +83,19 @@ class EnsembleConfig:
     realizations: int = 200
     master_seed: int = 0
     snapshot_times: tuple[int, ...] = ()
-    normalize_variance: bool = False
-    update_cap: int = DEFAULT_UPDATE_CAP
 
     def __post_init__(self) -> None:
         checked = {
-            **_run_arguments(self.N, self.T, self.alpha_t, self.beta_s, self.snapshot_times, self.normalize_variance),
+            **_run_arguments(self.N, self.T, self.alpha_t, self.beta_s, self.snapshot_times),
             "realizations": _integer("realizations", self.realizations, 1),
             "master_seed": _check_seed(self.master_seed),
-            "update_cap": _integer("update_cap", self.update_cap, 1),
         }
         for name, value in checked.items():
             object.__setattr__(self, name, value)
         updates = self.N * self.T
-        if updates > self.update_cap:
+        if updates > UPDATE_CAP:
             raise ResourceLimitError(
-                f"N*T = {updates} exceeds the configured cap of {self.update_cap} "
-                "amplitude updates per realization; raise update_cap to allow this run"
+                f"N*T = {updates} exceeds the cap of {UPDATE_CAP} amplitude updates per realization"
             )
 
 
@@ -183,7 +178,6 @@ def run_realization(
     beta_s: float,
     seed: int | Sequence[int],
     snapshot_times=(),
-    normalize_variance: bool = False,
     *,
     record_from: int = 0,
 ) -> TrajectoryStats:
@@ -211,7 +205,7 @@ def run_realization(
         unsigned 64-bit integer nor a non-empty sequence of them, or
         ``record_from`` lies outside ``[0, T]``.
     """
-    checked = _run_arguments(N, T, alpha_t, beta_s, snapshot_times, normalize_variance)
+    checked = _run_arguments(N, T, alpha_t, beta_s, snapshot_times)
     N, T, alpha_t, beta_s, snapshot_times = checked.values()
     _integer("record_from", record_from, 0, T)
     single = isinstance(seed, (int, np.integer))
@@ -219,7 +213,7 @@ def run_realization(
     if not (single or listed and len(seed)):
         raise InvalidParameterError(f"seed must be an integer or a non-empty sequence of integers, got {seed!r}")
     seeds = [_check_seed(s) for s in ([seed] if single else seed)]
-    rows = [generate_coin_phases(T, N, alpha_t, beta_s, s, normalize=normalize_variance) for s in seeds]
+    rows = [generate_coin_phases(T, N, alpha_t, beta_s, s) for s in seeds]
     phases = CoinPhases(theta=np.stack([p.theta for p in rows]), phi=np.stack([p.phi for p in rows]))
     del rows  # Only the stacked copy lives through the evolution.
     start = initial_state_symmetric(N)
@@ -259,7 +253,7 @@ def _run_batch(task) -> TrajectoryStats:
     config, record_from, first, stop = task
     seeds = [derive_seed(config.master_seed, r) for r in range(first, stop)]
     return run_realization(config.N, config.T, config.alpha_t, config.beta_s, seeds, config.snapshot_times,
-                           config.normalize_variance, record_from=record_from)
+                           record_from=record_from)
 
 
 @contextmanager
@@ -491,22 +485,21 @@ def phase_diagram_sweep(
     Every cell runs an independent size scan (seeded from the base master
     seed and the cell indices, averaging over ``size_scan``'s horizon-
     proportional windows), fits gamma, and classifies the regime; of
-    ``base`` it reads only ``realizations``, ``master_seed``,
-    ``normalize_variance`` and ``update_cap``.  Returns
+    ``base`` it reads only ``realizations`` and ``master_seed``.  Returns
     one record per cell in grid order (alpha outer, beta inner): the dict
     its cell file holds, with the settings it was computed with (alpha,
-    beta, derived master seed, realization count, variance normalisation,
-    averaging window per size) and its gamma, stderr, regime label and
-    ``[N, sigma_bar]`` points.  With ``out_dir`` set, each completed cell
-    is written atomically as JSON under ``cells/``, and re-runs reuse
-    cells whose files already exist unless ``force`` is true.  A cell file
-    that cannot be read, or whose results, sizes or settings differ from
-    this sweep's, is refused rather than mixed into the grid.  Every cell's
-    configuration is validated, and every existing cell file loaded, before
-    any cell is computed or written.  The cells still to compute share one
-    task stream (and with ``workers`` > 1 one worker pool); each cell is
-    written as soon as its last size is reduced, so an interrupted sweep
-    resumes from its finished cells.
+    beta, derived master seed, realization count, a fixed
+    ``"normalize_variance": false``, averaging window per size) and its
+    gamma, stderr, regime label and ``[N, sigma_bar]`` points.  With
+    ``out_dir`` set, each completed cell is written atomically as JSON under
+    ``cells/``, and re-runs reuse cells whose files already exist unless
+    ``force`` is true.  A cell file that cannot be read, or whose results,
+    sizes or settings differ from this sweep's, is refused rather than mixed
+    into the grid.  Every cell's configuration is validated, and every
+    existing cell file loaded, before any cell is computed or written.  The
+    cells still to compute share one task stream (and with ``workers`` > 1
+    one worker pool); each cell is written as soon as its last size is
+    reduced, so an interrupted sweep resumes from its finished cells.
     """
     alphas = _grid("alpha_t", grid_alpha)
     betas = _grid("beta_s", grid_beta)
@@ -528,7 +521,7 @@ def phase_diagram_sweep(
                 "beta": beta,
                 "master_seed": cell_base.master_seed,
                 "realizations": base.realizations,
-                "normalize_variance": base.normalize_variance,
+                "normalize_variance": False,  # refuses a cell that an earlier version normalised
                 "windows": [[cfg.N, window] for cfg, window in configs],
             }
             if cell_file is not None and cell_file.exists() and not force:

@@ -19,7 +19,7 @@ class DegenerateSeriesError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A run was refused because it exceeds the configured resource cap."""
+    """A run was refused because it exceeds the update cap (``ensemble.UPDATE_CAP``)."""
 
 
 def _is_int(value) -> bool:

@@ -102,7 +102,7 @@ class CoinPhases:
             raise InvalidParameterError(f"CoinPhases theta {self.theta.shape} and phi {self.phi.shape} differ in rows")
 
 
-def generate_fbm_trace(n: int, nu: float, seed: int, *, normalize: bool = False) -> np.ndarray:
+def generate_fbm_trace(n: int, nu: float, seed: int) -> np.ndarray:
     """The first ``n`` values of the correlated trace for ``(nu, seed)``.
 
     Index ``i`` holds position ``j = i + 1`` of the trace of even length
@@ -117,11 +117,8 @@ def generate_fbm_trace(n: int, nu: float, seed: int, *, normalize: bool = False)
     ``n``: truncating the padded trace preserves its correlation structure.
     Raises ``InvalidParameterError`` unless ``n`` is a positive integer,
     ``nu`` finite and >= 0 (and its amplitudes finite, ``_mode_scale``),
-    and ``seed`` an unsigned 64-bit integer.
-
-    With ``normalize`` the length-``M`` trace is rescaled to zero mean and
-    unit sample variance before it is truncated.  Off by default: the raw
-    mode sum has a nu- and M-dependent variance (pi/2 at nu = 0).
+    and ``seed`` an unsigned 64-bit integer.  The trace is not rescaled:
+    its variance depends on nu and M (pi/2 at nu = 0).
     """
     n = _integer("trace length", n, 1)
     nu = _exponent("nu", nu)
@@ -140,9 +137,6 @@ def generate_fbm_trace(n: int, nu: float, seed: int, *, normalize: bool = False)
     wave = np.fft.ifft(modes).real
     trace = np.concatenate((wave[1:], wave[:1]))
     trace *= M
-
-    if normalize:
-        trace = (trace - trace.mean()) / trace.std()
     return trace[:n]
 
 
@@ -178,25 +172,17 @@ def squash_to_phase(trace) -> np.ndarray:
     return vals
 
 
-def generate_coin_phases(
-    T: int,
-    N: int,
-    alpha_t: float,
-    beta_s: float,
-    seed: int,
-    *,
-    normalize: bool = False,
-) -> CoinPhases:
+def generate_coin_phases(T: int, N: int, alpha_t: float, beta_s: float, seed: int) -> CoinPhases:
     """Generate the temporal and spatial coin-phase sequences for one run.
 
     ``theta`` is the squashed trace of length ``T`` with exponent
     ``alpha_t``; ``phi`` that of length ``N`` with exponent ``beta_s``
-    (``generate_fbm_trace``, which pads odd lengths and applies
-    ``normalize``).  The two mode-phase draws are statistically
-    independent: their generators are seeded from the unsigned 64-bit
-    ``seed`` through the sub-stream labels ``"theta"`` and ``"phi"``.
+    (``generate_fbm_trace``, which pads odd lengths).  The two mode-phase
+    draws are statistically independent: their generators are seeded from
+    the unsigned 64-bit ``seed`` through the sub-stream labels ``"theta"``
+    and ``"phi"``.
     """
-    theta = generate_fbm_trace(T, alpha_t, derive_seed(seed, "theta"), normalize=normalize)
-    phi = generate_fbm_trace(N, beta_s, derive_seed(seed, "phi"), normalize=normalize)
+    theta = generate_fbm_trace(T, alpha_t, derive_seed(seed, "theta"))
+    phi = generate_fbm_trace(N, beta_s, derive_seed(seed, "phi"))
     return CoinPhases(theta=squash_to_phase(theta), phi=squash_to_phase(phi))
 

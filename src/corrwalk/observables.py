@@ -218,13 +218,17 @@ def longtime_avg_dispersion(stats: TrajectoryStats, window_len: int = DEFAULT_SI
     The window is used as given.  Size scans pass a window that grows
     with each size's horizon (see ``scaled_windows``); a fixed window
     would bias the fitted size-scaling exponent upwards.  A batch of
-    trajectories raises ``InvalidParameterError``.
+    trajectories raises ``InvalidParameterError``, and a window holding an
+    unrecorded (NaN) step ``DegenerateSeriesError``, as in ``fit_hurst``.
     """
     window_len = _integer("window_len", window_len, 1)
     entries = _one_trajectory(stats).dispersion.size
     if entries < window_len:
         raise InsufficientDataError(f"trajectory has {entries} entries, need at least {window_len}")
-    return float(np.mean(stats.dispersion[-window_len:]))
+    window = stats.dispersion[-window_len:]
+    if np.isnan(window).any():
+        raise DegenerateSeriesError(f"dispersion must be recorded (not NaN) in the final {window_len} steps")
+    return float(np.mean(window))
 
 
 def scaled_windows(window_len: int, horizons) -> list[int]:

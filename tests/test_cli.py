@@ -108,6 +108,17 @@ class TestRun:
         assert all(r["sigma_bar"] > 0 for r in summary["results"])
         assert "gamma not fitted" in caplog.text
 
+    def test_two_sizes_fit_no_gamma_and_say_why(self, tmp_path, caplog):
+        # fig3*-desk run two sizes; a gamma fit needs three.
+        cfg = run_config(tmp_path, N=None, T=None, sizes=[16, 32], sigma_window=4)
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="corrwalk"):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert "gamma" not in summary
+        assert [r["N"] for r in summary["results"]] == [16, 32]
+        assert "gamma not fitted: 2 sizes" in caplog.text
+
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         cfg = run_config(tmp_path, T=0)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -127,9 +138,11 @@ class TestRun:
         assert "sizes" in capsys.readouterr().err
 
     def test_update_cap_refusal_exit_2(self, tmp_path, capsys):
-        cfg = run_config(tmp_path, update_cap=100)
+        # N * T = 1.28e9 is over the fixed cap of 1e9 amplitude updates.
+        cfg = run_config(tmp_path, T=20_000_000)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "cap" in capsys.readouterr().err
+        assert "exceeds the cap of 1000000000" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("overrides, message", [
         (dict(N=64, T=4000, alpha_t=150.0), "alpha_t = 150.0"),
@@ -278,18 +291,25 @@ class TestRun:
         assert "t_rule" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_manifest_holding_snapshot_single_false_replays(self, tmp_path):
-        # Manifests written while the field existed hold it as false.
+    def test_manifest_holding_retired_fields_replays(self, tmp_path):
+        # Manifests written while the fields existed hold them at these values.
         out = tmp_path / "out"
         assert main(["run", "--config", str(run_config(tmp_path, snapshot_times=[24])), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        manifest["config"]["snapshot_single"] = False
+        manifest["config"].update(normalize_variance=False, update_cap=1_000_000_000, snapshot_single=False)
         old = tmp_path / "old_manifest.json"
         old.write_text(json.dumps(manifest))
         replay = tmp_path / "replay"
         assert main(["run", "--config", str(old), "--out", str(replay)]) == 0
         for name in ("trajectory_N64.csv", "snapshot_N64_t24.csv"):
             assert (replay / name).read_bytes() == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("field, value", [("update_cap", 5), ("normalize_variance", True)])
+    def test_retired_field_at_another_value_exit_2_before_any_output(self, tmp_path, capsys, field, value):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(run_config(tmp_path, **{field: value})), "--out", str(out)]) == 2
+        assert f"field '{field}': retired" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_size_keeps_a_window_longer_than_the_run(self, tmp_path):
         out = tmp_path / "out"
@@ -361,6 +381,27 @@ class TestPhaseDiagram:
         assert "cell_000_000.json" in err and "--force" in err
         assert (out / "manifest.json").read_bytes() == manifest
 
+
+    def test_config_holding_retired_fields_writes_the_same_grid(self, tmp_path):
+        cfg = self.write_sweep_config(tmp_path)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({**json.loads(cfg.read_text()), "normalize_variance": False, "update_cap": 10**9}))
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(tmp_path / "new")]) == 0
+        assert main(["phase-diagram", "--config", str(old), "--out", str(tmp_path / "old")]) == 0
+        for name in ("grid.csv", "cells/cell_000_000.json"):
+            assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, value", [("snapshot_single", False), ("update_cap", 5), ("normalize_variance", True)]
+    )
+    def test_retired_field_refused_exit_2_before_any_output(self, tmp_path, capsys, field, value):
+        # snapshot_single was never a phase-diagram field.
+        cfg = self.write_sweep_config(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), field: value}))
+        out = tmp_path / "out"
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_window_longer_than_shortest_run_exit_2_before_compute(self, tmp_path, capsys):
         cfg = self.write_sweep_config(tmp_path)
@@ -469,8 +510,7 @@ class TestConfigFile:
 class TestManifestConfig:
     """The resolved config a manifest records, which a replay reads back."""
 
-    ENSEMBLE = {"realizations": 2, "seed": 0, "sigma_window": 4, "normalize_variance": False,
-                "update_cap": 1_000_000_000}
+    ENSEMBLE = {"realizations": 2, "seed": 0, "sigma_window": 4}
     RUN = {"N": None, "sizes": None, "T": None, "t_rule": "N/2", "alpha_t": 0.0, "beta_s": 0.0,
            "snapshot_times": [], "fit_window": None, **ENSEMBLE}
 

@@ -8,7 +8,7 @@ import pytest
 from corrwalk import EnsembleConfig, InvalidParameterError, ResourceLimitError, run_ensemble, size_scan
 from corrwalk import ensemble
 from corrwalk import io as cwio
-from corrwalk.ensemble import _batch_size, _load_cell, phase_diagram_sweep, run_realization, size_configs
+from corrwalk.ensemble import UPDATE_CAP, _batch_size, _load_cell, phase_diagram_sweep, run_realization, size_configs
 from corrwalk.noise import derive_seed, generate_coin_phases
 from corrwalk.observables import REGIMES, longtime_avg_dispersion
 from corrwalk.walk import initial_state_symmetric
@@ -46,12 +46,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("update_cap", 100.5),
-            ("update_cap", True),
-            ("update_cap", "100"),
-            ("normalize_variance", "no"),
-            ("normalize_variance", 1),
-            ("normalize_variance", None),
             ("alpha_t", True),
             ("alpha_t", "0.5"),
             ("beta_s", False),
@@ -72,9 +66,9 @@ class TestConfigValidation:
 
     def test_stores_plain_int_and_float_fields(self, tmp_path):
         config = EnsembleConfig(N=np.int64(16), T=np.int32(8), alpha_t=np.float32(0.5), beta_s=np.int64(0),
-                                realizations=np.int64(2), master_seed=np.uint64(7), update_cap=np.int64(10**9))
+                                realizations=np.int64(2), master_seed=np.uint64(7))
         for name, kind in [("N", int), ("T", int), ("alpha_t", float), ("beta_s", float),
-                           ("realizations", int), ("master_seed", int), ("update_cap", int)]:
+                           ("realizations", int), ("master_seed", int)]:
             assert type(getattr(config, name)) is kind, name
         cells = phase_diagram_sweep([0.0], [0.0], config, (16, 32, 64), window_len=4, out_dir=tmp_path)
         assert cells == [json.loads((tmp_path / "cells" / "cell_000_000.json").read_text())]
@@ -84,7 +78,9 @@ class TestConfigValidation:
             EnsembleConfig(N=64, T=4000, alpha_t=150.0, beta_s=0.0, realizations=2)
         with pytest.raises(InvalidParameterError, match="beta_s = 400.0.*length 64"):
             small_config(beta_s=400.0)
-        EnsembleConfig(N=32_000, T=160_000, alpha_t=4.0, beta_s=4.0, update_cap=10**10)
+        # The longest paper traces: N = 32000 at T = N/2, and T = 5N at N = 8000.
+        EnsembleConfig(N=32_000, T=16_000, alpha_t=4.0, beta_s=4.0)
+        EnsembleConfig(N=8000, T=40_000, alpha_t=4.0, beta_s=4.0)
 
     def test_rejects_snapshot_outside_run(self):
         with pytest.raises(InvalidParameterError):
@@ -104,7 +100,6 @@ class TestConfigValidation:
             ("beta_s", 400.0),
             ("snapshot_times", (9,)),
             ("snapshot_times", (-1, 3)),
-            ("normalize_variance", "no"),
         ],
     )
     def test_run_realization_refuses_a_bad_argument_before_synthesis(self, monkeypatch, argument, value):
@@ -199,10 +194,11 @@ class TestRunEnsemble:
         assert cell.read_bytes() == written
 
     def test_resource_cap_refusal(self):
-        with pytest.raises(ResourceLimitError, match="update_cap"):
-            run_ensemble(small_config(update_cap=100))
+        small_config(N=64, T=UPDATE_CAP // 64)
+        with pytest.raises(ResourceLimitError, match=f"N\\*T = {UPDATE_CAP + 64} exceeds the cap of {UPDATE_CAP} "):
+            small_config(N=64, T=UPDATE_CAP // 64 + 1)
         # N * T of two int64 scalars wraps to 0 in numpy.
-        with pytest.raises(ResourceLimitError, match="update_cap"):
+        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
             small_config(N=np.int64(2**33), T=np.int64(2**31))
 
     def test_standard_error_scales_as_inverse_sqrt(self):
@@ -514,9 +510,8 @@ class TestPhaseDiagramSweep:
         ],
     )
     def test_records_do_not_depend_on_the_base_run(self, grid_alpha, sizes, fields):
-        # Of the base a sweep reads only realizations, master_seed,
-        # normalize_variance and update_cap.
-        settings = dict(realizations=2, master_seed=5, normalize_variance=True, update_cap=10**8)
+        # Of the base a sweep reads only realizations and master_seed.
+        settings = dict(realizations=2, master_seed=5)
         plain = EnsembleConfig(N=sizes[0], T=sizes[0] // 2, alpha_t=0.0, beta_s=0.0, **settings)
         other = EnsembleConfig(**{"alpha_t": 0.0, "beta_s": 0.0, **settings, **fields})
         expected = phase_diagram_sweep(grid_alpha, [0.0], plain, sizes, window_len=4)
@@ -638,15 +633,18 @@ class TestPhaseDiagramSweep:
         assert [p.name for p in (tmp_path / "cells").iterdir()] == ["cell_000_000.json"]
 
     @pytest.mark.parametrize(
-        "changed, key",
+        "changed, edited, key",
         [
-            (dict(master_seed=124), "master_seed"),
-            (dict(realizations=3), "realizations"),
-            (dict(normalize_variance=True), "normalize_variance"),
+            (dict(master_seed=124), {}, "master_seed"),
+            (dict(realizations=3), {}, "realizations"),
+            # A cell that an earlier version computed from normalised traces.
+            ({}, dict(normalize_variance=True), "normalize_variance"),
         ],
     )
-    def test_changed_settings_rejected_on_resume(self, tmp_path, changed, key):
+    def test_changed_settings_rejected_on_resume(self, tmp_path, changed, edited, key):
         self._one_cell(tmp_path)
+        cell = tmp_path / "cells" / "cell_000_000.json"
+        cell.write_text(json.dumps({**json.loads(cell.read_text()), **edited}))
         with pytest.raises(InvalidParameterError, match=f"cell_000_000.json.*{key}.*--force"):
             self._one_cell(tmp_path, base=small_config(**{"realizations": 2, **changed}))
 

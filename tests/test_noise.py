@@ -82,11 +82,6 @@ class TestFbmTrace:
             generate_fbm_trace(length, nu, 31337), direct_fbm_trace(length, nu, 31337), atol=1e-10
         )
 
-    def test_normalize_flag_rescales(self):
-        trace = generate_fbm_trace(1024, 2.0, 5, normalize=True)
-        assert abs(trace.mean()) < 1e-12
-        assert abs(trace.std() - 1.0) < 1e-12
-
 
 class TestSquashToPhase:
     def test_zero_maps_to_pi(self):
@@ -177,12 +172,10 @@ class TestCoinPhases:
         assert not np.array_equal(phases.theta, phases.phi)
 
     def test_odd_lengths_truncate_even_generation(self):
-        # Normalization is over the padded trace, so it truncates alike.
-        for normalize in (False, True):
-            odd = generate_coin_phases(63, 31, 1.0, 1.0, seed=8, normalize=normalize)
-            even = generate_coin_phases(64, 32, 1.0, 1.0, seed=8, normalize=normalize)
-            np.testing.assert_array_equal(odd.theta, even.theta[:63])
-            np.testing.assert_array_equal(odd.phi, even.phi[:31])
+        odd = generate_coin_phases(63, 31, 1.0, 1.0, seed=8)
+        even = generate_coin_phases(64, 32, 1.0, 1.0, seed=8)
+        np.testing.assert_array_equal(odd.theta, even.theta[:63])
+        np.testing.assert_array_equal(odd.phi, even.phi[:31])
 
     def test_uncorrelated_values_fill_range(self):
         phases = generate_coin_phases(1000, 1000, 0.0, 0.0, seed=4)

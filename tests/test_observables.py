@@ -258,6 +258,14 @@ class TestLongtimeAvgDispersion:
         with pytest.raises(InsufficientDataError):
             longtime_avg_dispersion(stats, 100)
 
+    def test_unrecorded_steps_in_window(self):
+        # Steps 0..19 are NaN: a window of the final 20 steps (13..32) holds
+        # 7 of them, and the final 13 steps hold none.
+        stats = run_realization(64, 32, 0.0, 0.0, 5, record_from=20)
+        with pytest.raises(DegenerateSeriesError, match="NaN"):
+            longtime_avg_dispersion(stats, 20)
+        assert longtime_avg_dispersion(stats, 13) == pytest.approx(np.mean(stats.dispersion[20:]))
+
     @pytest.mark.parametrize("window_len", [0, True, 2.5])
     def test_window_not_a_positive_integer_rejected(self, window_len):
         stats = make_stats(np.arange(0, 50), np.ones(50))
