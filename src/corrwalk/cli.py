@@ -173,18 +173,12 @@ def _parse(config: dict, command: str) -> dict:
     return {name: _field(config, name, kind, default) for name, (kind, default) in fields.items()}
 
 
-def _checked(name: str, rule, *args):
-    """``rule(*args)``, reporting a refusal as one of field ``name``."""
+def _checked(name: str, rule, *args, **kwargs):
+    """``rule(*args, **kwargs)``, reporting a refusal as one of field ``name``."""
     try:
-        return rule(*args)
+        return rule(*args, **kwargs)
     except InvalidParameterError as exc:
         raise InvalidParameterError(f"field {name!r}: {exc}") from None
-
-
-def _ensemble_config(config: dict, N: int, T: int, alpha_t: float, beta_s: float, **extra) -> EnsembleConfig:
-    """One run's ``EnsembleConfig``; its realizations and seed come from ``config``."""
-    return EnsembleConfig(N=N, T=T, alpha_t=alpha_t, beta_s=beta_s, realizations=config["realizations"],
-                          master_seed=config["seed"], **extra)
 
 
 def _out_dir(args, command: str) -> Path:
@@ -279,14 +273,14 @@ def _cmd_run(args) -> int:
     sizes = config["sizes"]
     if sizes is not None:
         _checked("sizes", _scan_sizes, sizes, 1)
-    # With sizes, the largest run, whose traces are the longest.
-    N = config["N"] if sizes is None else max(sizes)
     t_rule = config["t_rule"]
     horizon = HORIZONS[t_rule] if t_rule is not None else lambda n: config["T"]
-    first = _ensemble_config(
-        config, N, horizon(N), config["alpha_t"], config["beta_s"],
-        snapshot_times=tuple(config["snapshot_times"]),
-    )
+    run = dict(alpha_t=config["alpha_t"], beta_s=config["beta_s"], realizations=config["realizations"],
+               master_seed=config["seed"])
+    # With sizes, the largest run is built first: its traces are the longest, so an exponent that
+    # overflows is reported as itself, not as the sigma_window refusal that size_configs' errors become.
+    N = config["N"] if sizes is None else max(sizes)
+    first = EnsembleConfig(N, horizon(N), **run, snapshot_times=tuple(config["snapshot_times"]))
     # A single size is the one run and keeps sigma_window; nothing is fitted
     # from its sigma_bar, which is null when the run is shorter than the
     # window.  Multi-size runs average over windows proportional to each
@@ -295,7 +289,7 @@ def _cmd_run(args) -> int:
     if sizes is None:
         runs = [(first, _integer("sigma_window", config["sigma_window"], 1))]
     else:
-        runs = _checked("sigma_window", size_configs, first, sizes, config["sigma_window"], horizon)
+        runs = _checked("sigma_window", size_configs, sizes, config["sigma_window"], horizon, **run)
     fit_window, last = config["fit_window"], min(cfg.T for cfg, _ in runs)
     if fit_window is not None and fit_window[1] > last:
         raise InvalidParameterError(f"field 'fit_window': ends at t = {fit_window[1]}, past a run of T = {last}")
@@ -359,17 +353,16 @@ def _cmd_phase_diagram(args) -> int:
     out_dir = _out_dir(args, "phase-diagram")
 
     sizes = _checked("sizes", _scan_sizes, config["sizes"])
-    alphas = _checked("grid_alpha", _grid, "alpha_t", config["grid_alpha"])
-    betas = _checked("grid_beta", _grid, "beta_s", config["grid_beta"])
-    T = HORIZONS["N/2"](sizes[0])
-    _checked("sigma_window", scaled_windows, config["sigma_window"], [T])
-    base = _ensemble_config(config, sizes[0], T, alphas[0], betas[0])
+    _checked("grid_alpha", _grid, "alpha_t", config["grid_alpha"])
+    _checked("grid_beta", _grid, "beta_s", config["grid_beta"])
+    _checked("sigma_window", scaled_windows, config["sigma_window"], [HORIZONS["N/2"](sizes[0])])
 
     cells = phase_diagram_sweep(
         config["grid_alpha"],
         config["grid_beta"],
-        base,
         config["sizes"],
+        realizations=config["realizations"],
+        master_seed=config["seed"],
         window_len=config["sigma_window"],
         workers=args.workers,
         out_dir=out_dir,

@@ -13,7 +13,7 @@ import logging
 import time
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from multiprocessing import Pool
 from pathlib import Path
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .errors import InvalidParameterError, ResourceLimitError, _exponent, _integer, _is_int, _is_real
+from .errors import InvalidParameterError, ResourceLimitError, _entries, _exponent, _integer, _is_int, _is_real
 from .noise import CoinPhases, _check_seed, _mode_scale, derive_seed, generate_coin_phases
 from .observables import (
     DEFAULT_SIGMA_WINDOW,
@@ -59,9 +59,10 @@ def _run_arguments(N, T, alpha_t, beta_s, snapshot_times) -> dict:
     ``EnsembleConfig`` field, with traces that fit in float64
     (``_mode_scale``), and stored as plain ``int``, ``float`` and tuple."""
     N, T = _integer("N", N, 2), _integer("T", T, 1)
+    times = _entries("snapshot_times", snapshot_times)
     checked = dict(
         N=N, T=T, alpha_t=_exponent("alpha_t", alpha_t), beta_s=_exponent("beta_s", beta_s),
-        snapshot_times=tuple(_integer("snapshot_times entry", t, 0, T) for t in snapshot_times),
+        snapshot_times=tuple(_integer("snapshot_times entry", t, 0, T) for t in times),
     )
     _mode_scale("alpha_t", checked["alpha_t"], T)
     _mode_scale("beta_s", checked["beta_s"], N)
@@ -209,7 +210,8 @@ def run_realization(
     N, T, alpha_t, beta_s, snapshot_times = checked.values()
     _integer("record_from", record_from, 0, T)
     single = isinstance(seed, (int, np.integer))
-    listed = isinstance(seed, (Sequence, np.ndarray)) and not isinstance(seed, str)
+    # A 0-d array holds one value but is no integer.
+    listed = (isinstance(seed, Sequence) and not isinstance(seed, str)) or (isinstance(seed, np.ndarray) and seed.ndim)
     if not (single or listed and len(seed)):
         raise InvalidParameterError(f"seed must be an integer or a non-empty sequence of integers, got {seed!r}")
     seeds = [_check_seed(s) for s in ([seed] if single else seed)]
@@ -344,27 +346,22 @@ HORIZONS = {"N/2": lambda N: N // 2, "5N": lambda N: 5 * N}
 
 
 def size_configs(
-    base: EnsembleConfig, sizes, window_len: int, horizon=HORIZONS["N/2"]
+    sizes, window_len: int, horizon=HORIZONS["N/2"], *, alpha_t, beta_s, realizations, master_seed
 ) -> list[tuple[EnsembleConfig, int]]:
     """Validated ``(config, window)`` for each lattice size, in the order given.
 
     Size ``N`` runs ``horizon(N)`` steps (by default ``HORIZONS["N/2"]``)
-    from master seed ``derive_seed(base.master_seed, "size", N)`` without
-    snapshots and averages its final ``window`` steps (``scaled_windows``);
-    every other field comes from ``base``.  Raises ``InvalidParameterError``
-    on no size, a repeated size or one that is not an integer >= 2, an
-    invalid config or a ``window_len`` longer than the shortest run, and
-    ``ResourceLimitError`` on a size over the update cap.
+    at ``alpha_t`` and ``beta_s`` over ``realizations`` draws from master
+    seed ``derive_seed(master_seed, "size", N)``, without snapshots, and
+    averages its final ``window`` steps (``scaled_windows``).  Raises
+    ``InvalidParameterError`` on no size, a repeated size or one that is
+    not an integer >= 2, an invalid config or a ``window_len`` longer than
+    the shortest run, and ``ResourceLimitError`` on a size over the update cap.
     """
+    sizes = _entries("lattice sizes", sizes)
     _scan_sizes(sizes, least=1)
     configs = [
-        replace(
-            base,
-            N=n,
-            T=horizon(n),
-            master_seed=derive_seed(base.master_seed, "size", n),
-            snapshot_times=(),
-        )
+        EnsembleConfig(n, horizon(n), alpha_t, beta_s, realizations, derive_seed(master_seed, "size", n))
         for n in sizes
     ]
     return list(zip(configs, scaled_windows(window_len, [cfg.T for cfg in configs])))
@@ -373,7 +370,7 @@ def size_configs(
 def _scan_sizes(sizes, least: int = 3) -> tuple[int, ...]:
     """The lattice sizes of a scan in increasing order: at least ``least``
     distinct integers >= 2 (a gamma fit needs 3)."""
-    sizes = [_integer("lattice size", n, 2) for n in sizes]
+    sizes = [_integer("lattice size", n, 2) for n in _entries("lattice sizes", sizes)]
     if len(sizes) < least or len(set(sizes)) < len(sizes):
         raise InvalidParameterError(f"need {least} or more distinct lattice sizes, got {sizes}")
     return tuple(sorted(sizes))
@@ -381,7 +378,7 @@ def _scan_sizes(sizes, least: int = 3) -> tuple[int, ...]:
 
 def _grid(name: str, values) -> tuple[float, ...]:
     """A sweep axis: at least one value of exponent ``name``, none repeated."""
-    grid = tuple(_exponent(name, v) for v in values)
+    grid = tuple(_exponent(name, v) for v in _entries(f"the {name} grid", values))
     if not grid:
         raise InvalidParameterError(f"the {name} grid must hold at least one value")
     if len(set(grid)) < len(grid):
@@ -398,6 +395,8 @@ def size_scan(
 ) -> list[tuple[int, float]]:
     """Long-time mean dispersion versus lattice size.
 
+    Of ``base`` the scan reads ``alpha_t``, ``beta_s``, ``realizations`` and
+    ``master_seed``; it sets ``N``, ``T`` and the snapshot times per size.
     Runs one ensemble per size, ``HORIZONS["N/2"]`` steps long, with
     independent derived seeds, and averages the dispersion over a window
     proportional to the horizon: the smallest size uses its final ``window_len``
@@ -411,7 +410,8 @@ def size_scan(
         If fewer than 3 sizes are given, ``workers`` is neither ``None`` nor
         an integer >= 1, or as ``size_configs`` does.
     """
-    configs = size_configs(base, _scan_sizes(sizes), window_len)
+    configs = size_configs(_scan_sizes(sizes), window_len, alpha_t=base.alpha_t, beta_s=base.beta_s,
+                           realizations=base.realizations, master_seed=base.master_seed)
     with _ensembles(_windowed(configs), workers) as results:
         return _scan_points(configs, results)
 
@@ -472,9 +472,10 @@ def _load_cell(path: Path, fingerprint: dict) -> dict:
 def phase_diagram_sweep(
     grid_alpha,
     grid_beta,
-    base: EnsembleConfig,
     sizes,
     *,
+    realizations: int,
+    master_seed: int,
     window_len: int = DEFAULT_SIGMA_WINDOW,
     workers: int | None = None,
     out_dir: str | Path | None = None,
@@ -482,15 +483,15 @@ def phase_diagram_sweep(
 ) -> list[dict]:
     """Fit the size-scaling exponent over an ``(alpha_t, beta_s)`` grid.
 
-    Every cell runs an independent size scan (seeded from the base master
-    seed and the cell indices, averaging over ``size_scan``'s horizon-
-    proportional windows), fits gamma, and classifies the regime; of
-    ``base`` it reads only ``realizations`` and ``master_seed``.  Returns
-    one record per cell in grid order (alpha outer, beta inner): the dict
-    its cell file holds, with the settings it was computed with (alpha,
-    beta, derived master seed, realization count, a fixed
-    ``"normalize_variance": false``, averaging window per size) and its
-    gamma, stderr, regime label and ``[N, sigma_bar]`` points.  With
+    Every cell runs an independent size scan over ``realizations`` draws
+    per size (seeded from ``master_seed`` and the cell indices, averaging
+    over ``size_scan``'s horizon-proportional windows), fits gamma, and
+    classifies the regime.  Returns one record per cell in grid order
+    (alpha outer, beta inner): the dict its cell file holds, with the
+    settings it was computed with (alpha, beta, derived master seed,
+    realization count, a fixed ``"normalize_variance": false``, averaging
+    window per size) and its gamma, stderr, regime label and
+    ``[N, sigma_bar]`` points.  With
     ``out_dir`` set, each completed cell is written atomically as JSON under
     ``cells/``, and re-runs reuse cells whose files already exist unless
     ``force`` is true.  A cell file that cannot be read, or whose results,
@@ -509,18 +510,16 @@ def phase_diagram_sweep(
     pending = []
     for i, alpha in enumerate(alphas):
         for j, beta in enumerate(betas):
-            # The cell's smallest run, from which ``size_configs`` derives all its runs.
-            cell_base = replace(
-                base, N=ordered_sizes[0], T=HORIZONS["N/2"](ordered_sizes[0]), alpha_t=alpha, beta_s=beta,
-                master_seed=derive_seed(base.master_seed, "cell", i, j), snapshot_times=(),
+            seed = derive_seed(master_seed, "cell", i, j)
+            configs = size_configs(
+                ordered_sizes, window_len, alpha_t=alpha, beta_s=beta, realizations=realizations, master_seed=seed
             )
-            configs = size_configs(cell_base, ordered_sizes, window_len)
             cell_file = Path(out_dir, "cells", f"cell_{i:03d}_{j:03d}.json") if out_dir is not None else None
             record = {
                 "alpha": alpha,
                 "beta": beta,
-                "master_seed": cell_base.master_seed,
-                "realizations": base.realizations,
+                "master_seed": seed,
+                "realizations": configs[0][0].realizations,
                 "normalize_variance": False,  # refuses a cell that an earlier version normalised
                 "windows": [[cfg.N, window] for cfg, window in configs],
             }

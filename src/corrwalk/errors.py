@@ -1,5 +1,5 @@
 """Exception types raised across the package, and the rules for the
-integer and exponent arguments that raise ``InvalidParameterError``."""
+integer, exponent and sequence arguments that raise ``InvalidParameterError``."""
 
 import numbers
 
@@ -46,3 +46,11 @@ def _exponent(name: str, value) -> float:
     if not _is_real(value) or not np.isfinite(value) or value < 0:
         raise InvalidParameterError(f"{name} must be a finite non-negative real, got {value!r}")
     return float(value)
+
+
+def _entries(name: str, values) -> tuple:
+    """The entries of ``values`` if it can be iterated."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be a sequence, got {values!r}") from None

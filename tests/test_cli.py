@@ -367,6 +367,18 @@ class TestPhaseDiagram:
         assert main(["phase-diagram", "--config", str(cfg), "--out", str(out), "--force"]) == 0
         assert (out / "grid.csv").read_text() == original
 
+    def test_manifest_replays_into_a_fresh_directory(self, tmp_path):
+        cfg = self.write_sweep_config(tmp_path)
+        config = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps({**config, "grid_alpha": [0.0, 4.0], "grid_beta": [0.0, 2.0]}))
+        out, replay = tmp_path / "out", tmp_path / "replay"
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["phase-diagram", "--config", str(out / "manifest.json"), "--out", str(replay)]) == 0
+        cells = sorted(p.relative_to(out) for p in (out / "cells").iterdir())
+        assert len(cells) == 4
+        for name in ["grid.csv", *cells]:
+            assert (replay / name).read_bytes() == (out / name).read_bytes()
+
     def test_cell_without_windows_exit_2(self, tmp_path, capsys):
         cfg = self.write_sweep_config(tmp_path)
         out = tmp_path / "out"

@@ -70,8 +70,24 @@ class TestConfigValidation:
         for name, kind in [("N", int), ("T", int), ("alpha_t", float), ("beta_s", float),
                            ("realizations", int), ("master_seed", int)]:
             assert type(getattr(config, name)) is kind, name
-        cells = phase_diagram_sweep([0.0], [0.0], config, (16, 32, 64), window_len=4, out_dir=tmp_path)
+        cells = phase_diagram_sweep([np.float32(0.5)], [np.int64(0)], (16, 32, 64), realizations=np.int64(2),
+                                    master_seed=np.uint64(7), window_len=4, out_dir=tmp_path)
         assert cells == [json.loads((tmp_path / "cells" / "cell_000_000.json").read_text())]
+
+    @pytest.mark.parametrize(
+        "call, arguments, message",
+        [
+            (EnsembleConfig, dict(N=16, T=8, alpha_t=0.0, beta_s=0.0, snapshot_times=5), "snapshot_times"),
+            (EnsembleConfig, dict(N=16, T=8, alpha_t=0.0, beta_s=0.0, snapshot_times=None), "snapshot_times"),
+            (size_scan, dict(base=EnsembleConfig(N=16, T=8, alpha_t=0.0, beta_s=0.0), sizes=5), "lattice sizes"),
+            (phase_diagram_sweep, dict(grid_alpha=0.0, grid_beta=[0.0], sizes=(16, 32, 64), realizations=2,
+                                       master_seed=0), "alpha_t grid"),
+            (run_realization, dict(N=16, T=8, alpha_t=0.0, beta_s=0.0, seed=np.array(5)), "seed must be an integer"),
+        ],
+    )
+    def test_argument_that_is_no_sequence_refused(self, call, arguments, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            call(**arguments)
 
     def test_rejects_exponent_whose_trace_overflows(self):
         with pytest.raises(InvalidParameterError, match="alpha_t = 150.0.*length 4000"):
@@ -180,15 +196,15 @@ class TestRunEnsemble:
         with pytest.raises(InvalidParameterError, match="workers"):
             size_scan(small_config(), sizes=(16, 32, 64), window_len=4, workers=workers)
         with pytest.raises(InvalidParameterError, match="workers"):
-            phase_diagram_sweep([0.0], [0.0], small_config(), (16, 32, 64), window_len=4,
+            phase_diagram_sweep([0.0], [0.0], (16, 32, 64), realizations=4, master_seed=123, window_len=4,
                                 workers=workers, out_dir=tmp_path)
         assert not list(tmp_path.iterdir())
         # A sweep whose every cell file exists has no job to run, and still refuses.
-        phase_diagram_sweep([0.0], [0.0], small_config(), (16, 32, 64), window_len=4, out_dir=tmp_path)
+        phase_diagram_sweep([0.0], [0.0], (16, 32, 64), realizations=4, master_seed=123, window_len=4, out_dir=tmp_path)
         cell = tmp_path / "cells" / "cell_000_000.json"
         written = cell.read_bytes()
         with pytest.raises(InvalidParameterError, match="workers"):
-            phase_diagram_sweep([0.0], [0.0], small_config(), (16, 32, 64), window_len=4,
+            phase_diagram_sweep([0.0], [0.0], (16, 32, 64), realizations=4, master_seed=123, window_len=4,
                                 workers=workers, out_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.rglob("*")) == [cell.name, "cells"]
         assert cell.read_bytes() == written
@@ -373,8 +389,7 @@ class TestRecordFrom:
             run_realization(32, 24, 2.0, 1.0, 5, record_from=record_from)
 
     def test_sweep_matches_scans_that_record_every_step(self, monkeypatch):
-        base = small_config(realizations=3)
-        kwargs = dict(base=base, sizes=(32, 64, 128), window_len=8)
+        kwargs = dict(sizes=(32, 64, 128), realizations=3, master_seed=123, window_len=8)
         windowed = phase_diagram_sweep([0.0, 4.0], [0.0, 4.0], **kwargs)
 
         # Every ensemble of the sweep enters the task stream through _tasks.
@@ -452,7 +467,7 @@ class TestSizeScan:
         with pytest.raises(InvalidParameterError, match="distinct"):
             size_scan(small_config(), sizes=(32, 32, 64), window_len=8)
         with pytest.raises(InvalidParameterError, match="distinct"):
-            phase_diagram_sweep([0.0], [0.0], small_config(), sizes=(32, 64, 64), window_len=8)
+            phase_diagram_sweep([0.0], [0.0], (32, 64, 64), realizations=4, master_seed=123, window_len=8)
 
     @pytest.mark.parametrize("sizes", [[16.9, 32, 64], [True, 32, 64], [16, "32", 64]])
     def test_rejects_non_integer_sizes(self, sizes):
@@ -460,12 +475,13 @@ class TestSizeScan:
         with pytest.raises(InvalidParameterError, match="integer"):
             size_scan(base, sizes, window_len=2)
         with pytest.raises(InvalidParameterError, match="integer"):
-            size_configs(base, sizes, 2)
+            size_configs(sizes, 2, alpha_t=0, beta_s=0, realizations=1, master_seed=0)
 
     def test_window_scales_with_horizon(self):
         base = small_config()
         points = size_scan(base, sizes=(32, 64, 128), window_len=8)
-        runs = size_configs(base, (32, 64, 128), 8)
+        runs = size_configs((32, 64, 128), 8, alpha_t=0.0, beta_s=0.0, realizations=4, master_seed=123)
+        assert size_configs(iter((32, 64, 128)), 8, alpha_t=0.0, beta_s=0.0, realizations=4, master_seed=123) == runs
         assert [window for _, window in runs] == [8, 16, 32]
         for (N, sigma_bar), (cfg, window) in zip(points, runs):
             stats = run_ensemble(cfg).stats
@@ -478,8 +494,9 @@ class TestPhaseDiagramSweep:
         sweep = phase_diagram_sweep(
             [0.0],
             [0.0],
-            small_config(realizations=8),
-            sizes=(32, 64, 128),
+            (32, 64, 128),
+            realizations=8,
+            master_seed=123,
             window_len=8,
             out_dir=tmp_path,
         )
@@ -495,31 +512,39 @@ class TestPhaseDiagramSweep:
             ([0.0], [1.0, -0.0, 0.0], "beta_s grid repeats"),
         ]:
             with pytest.raises(InvalidParameterError, match=field):
-                phase_diagram_sweep(grid_alpha, grid_beta, small_config(), [16, 32, 64], window_len=4, out_dir=tmp_path)
+                phase_diagram_sweep(grid_alpha, grid_beta, [16, 32, 64], realizations=4, master_seed=123, window_len=4,
+                                    out_dir=tmp_path)
             assert not list(tmp_path.rglob("*.json"))
 
     @pytest.mark.parametrize(
-        "grid_alpha, sizes, fields",
+        "setting, value, message",
         [
-            # alpha_t = 150 overflows float64 in traces of length 1000 and
-            # more: the base's exponent at the cells' horizons, and a cell's
-            # exponent at the base's horizon.  No cell runs either.
-            ([0.0], (500, 1000, 2000), dict(N=16, T=8, alpha_t=150.0)),
-            ([150.0], (16, 32, 64), dict(N=16, T=100_000)),
-            ([0.0, 4.0], (16, 32, 64), dict(N=4000, T=1000, beta_s=7.5, snapshot_times=(0, 1000))),
+            ("realizations", 0, "realizations"),
+            ("realizations", True, "realizations"),
+            ("master_seed", -1, "seed"),
+            ("master_seed", 2**64, "seed"),
         ],
     )
-    def test_records_do_not_depend_on_the_base_run(self, grid_alpha, sizes, fields):
-        # Of the base a sweep reads only realizations and master_seed.
-        settings = dict(realizations=2, master_seed=5)
-        plain = EnsembleConfig(N=sizes[0], T=sizes[0] // 2, alpha_t=0.0, beta_s=0.0, **settings)
-        other = EnsembleConfig(**{"alpha_t": 0.0, "beta_s": 0.0, **settings, **fields})
-        expected = phase_diagram_sweep(grid_alpha, [0.0], plain, sizes, window_len=4)
-        assert phase_diagram_sweep(grid_alpha, [0.0], other, sizes, window_len=4) == expected
+    def test_bad_run_setting_refused_before_any_cell_is_written(self, tmp_path, setting, value, message):
+        settings = {"realizations": 2, "master_seed": 5, setting: value}
+        with pytest.raises(InvalidParameterError, match=message):
+            phase_diagram_sweep([0.0, 4.0], [0.0], (16, 32, 64), **settings, window_len=4, out_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    def test_numpy_integer_settings_write_the_plain_bytes(self, tmp_path):
+        for name, settings in [
+            ("plain", dict(realizations=2, master_seed=5)),
+            ("numpy", dict(realizations=np.int64(2), master_seed=np.uint64(5))),
+        ]:
+            phase_diagram_sweep([0.0, 4.0], [0.0], (16, 32, 64), **settings, window_len=4, out_dir=tmp_path / name)
+        for cell in ("cell_000_000.json", "cell_001_000.json"):
+            plain, numpy = (tmp_path / name / "cells" / cell for name in ("plain", "numpy"))
+            assert numpy.read_bytes() == plain.read_bytes()
 
     def test_resume_skips_completed_cells(self, tmp_path):
         kwargs = dict(
-            base=small_config(realizations=4),
+            realizations=4,
+            master_seed=123,
             sizes=(32, 64, 128),
             window_len=8,
             out_dir=tmp_path,
@@ -536,7 +561,8 @@ class TestPhaseDiagramSweep:
 
     def test_force_recomputes(self, tmp_path):
         kwargs = dict(
-            base=small_config(realizations=4),
+            realizations=4,
+            master_seed=123,
             sizes=(32, 64, 128),
             window_len=8,
             out_dir=tmp_path,
@@ -552,7 +578,8 @@ class TestPhaseDiagramSweep:
 
     def test_mismatched_cell_file_rejected(self, tmp_path):
         kwargs = dict(
-            base=small_config(realizations=4),
+            realizations=4,
+            master_seed=123,
             sizes=(32, 64, 128),
             window_len=8,
             out_dir=tmp_path,
@@ -562,20 +589,21 @@ class TestPhaseDiagramSweep:
             phase_diagram_sweep([2.0], [0.0], **kwargs)
 
     def test_mismatched_sizes_rejected_on_resume(self, tmp_path):
-        base = small_config(realizations=4)
-        phase_diagram_sweep([0.0], [0.0], base, sizes=(32, 64, 128), window_len=8, out_dir=tmp_path)
+        settings = dict(realizations=4, master_seed=123)
+        phase_diagram_sweep([0.0], [0.0], (32, 64, 128), **settings, window_len=8, out_dir=tmp_path)
         with pytest.raises(InvalidParameterError, match="sizes"):
-            phase_diagram_sweep([0.0], [0.0], base, sizes=(32, 64, 256), window_len=8, out_dir=tmp_path)
+            phase_diagram_sweep([0.0], [0.0], (32, 64, 256), **settings, window_len=8, out_dir=tmp_path)
 
     def test_cell_records_windows(self, tmp_path):
-        base = small_config(realizations=2)
-        phase_diagram_sweep([0.0], [0.0], base, sizes=(32, 64, 128), window_len=8, out_dir=tmp_path)
+        settings = dict(realizations=2, master_seed=123)
+        phase_diagram_sweep([0.0], [0.0], (32, 64, 128), **settings, window_len=8, out_dir=tmp_path)
         cell = json.loads((tmp_path / "cells" / "cell_000_000.json").read_text())
         assert cell["windows"] == [[32, 8], [64, 16], [128, 32]]
 
     def test_cell_without_windows_rejected_on_resume(self, tmp_path):
         kwargs = dict(
-            base=small_config(realizations=2),
+            realizations=2,
+            master_seed=123,
             sizes=(32, 64, 128),
             window_len=8,
             out_dir=tmp_path,
@@ -589,19 +617,19 @@ class TestPhaseDiagramSweep:
             phase_diagram_sweep([0.0], [0.0], **kwargs)
 
     def test_changed_window_rejected_on_resume(self, tmp_path):
-        base = small_config(realizations=2)
-        phase_diagram_sweep([0.0], [0.0], base, sizes=(32, 64, 128), window_len=8, out_dir=tmp_path)
+        settings = dict(realizations=2, master_seed=123)
+        phase_diagram_sweep([0.0], [0.0], (32, 64, 128), **settings, window_len=8, out_dir=tmp_path)
         with pytest.raises(InvalidParameterError, match="windows"):
-            phase_diagram_sweep([0.0], [0.0], base, sizes=(32, 64, 128), window_len=4, out_dir=tmp_path)
+            phase_diagram_sweep([0.0], [0.0], (32, 64, 128), **settings, window_len=4, out_dir=tmp_path)
 
     def test_cells_reproducible_in_memory(self):
-        base = small_config(realizations=4)
-        a = phase_diagram_sweep([0.0, 2.0], [1.0], base, sizes=(32, 64, 128), window_len=8)
-        b = phase_diagram_sweep([0.0, 2.0], [1.0], base, sizes=(32, 64, 128), window_len=8)
+        settings = dict(realizations=4, master_seed=123)
+        a = phase_diagram_sweep([0.0, 2.0], [1.0], (32, 64, 128), **settings, window_len=8)
+        b = phase_diagram_sweep([0.0, 2.0], [1.0], (32, 64, 128), **settings, window_len=8)
         assert a == b
 
     def test_records_are_the_cell_files_in_grid_order(self, tmp_path):
-        kwargs = dict(base=small_config(realizations=2), sizes=(16, 32, 64), window_len=4)
+        kwargs = dict(realizations=2, master_seed=123, sizes=(16, 32, 64), window_len=4)
         files = [tmp_path / "cells" / name for name in ("cell_000_000.json", "cell_001_000.json")]
         computed = phase_diagram_sweep([0.0, 2.0], [1.0], out_dir=tmp_path, **kwargs)
         assert computed == [json.loads(f.read_text()) for f in files]
@@ -612,15 +640,16 @@ class TestPhaseDiagramSweep:
     def test_grid_value_whose_trace_overflows_refused_before_any_cell(self, tmp_path):
         # beta_s = 400 is fine at N = 16 and 32 but overflows at N = 64.
         with pytest.raises(InvalidParameterError, match="beta_s = 400.0.*length 64"):
-            phase_diagram_sweep([0.0], [0.0, 400.0], small_config(), (16, 32, 64), window_len=4, out_dir=tmp_path)
+            phase_diagram_sweep([0.0], [0.0, 400.0], (16, 32, 64), realizations=4, master_seed=123, window_len=4,
+                                out_dir=tmp_path)
         assert not list(tmp_path.iterdir())
 
     def test_rejects_empty_grid(self):
         with pytest.raises(InvalidParameterError):
-            phase_diagram_sweep([], [0.0], small_config(), sizes=(32, 64, 128))
+            phase_diagram_sweep([], [0.0], (32, 64, 128), realizations=4, master_seed=123)
 
     def _one_cell(self, tmp_path, **overrides):
-        kwargs = dict(base=small_config(realizations=2), sizes=(32, 64, 128), window_len=8, out_dir=tmp_path)
+        kwargs = dict(realizations=2, master_seed=123, sizes=(32, 64, 128), window_len=8, out_dir=tmp_path)
         kwargs.update(overrides)
         return phase_diagram_sweep([0.0], [0.0], **kwargs)
 
@@ -646,7 +675,7 @@ class TestPhaseDiagramSweep:
         cell = tmp_path / "cells" / "cell_000_000.json"
         cell.write_text(json.dumps({**json.loads(cell.read_text()), **edited}))
         with pytest.raises(InvalidParameterError, match=f"cell_000_000.json.*{key}.*--force"):
-            self._one_cell(tmp_path, base=small_config(**{"realizations": 2, **changed}))
+            self._one_cell(tmp_path, **changed)
 
     def test_truncated_cell_reported_by_path(self, tmp_path):
         self._one_cell(tmp_path)
@@ -660,7 +689,7 @@ class TestPhaseDiagramSweep:
 
 class TestCellFileTypes:
     def _cell(self, tmp_path):
-        phase_diagram_sweep([0.0], [0.0], small_config(realizations=2), (16, 32, 64), window_len=4, out_dir=tmp_path)
+        phase_diagram_sweep([0.0], [0.0], (16, 32, 64), realizations=2, master_seed=123, window_len=4, out_dir=tmp_path)
         return tmp_path / "cells" / "cell_000_000.json"
 
     # Hand-written cells, each with one result field of the wrong kind.
@@ -673,7 +702,7 @@ class TestCellFileTypes:
             _load_cell(cell, {})
 
     def test_mistyped_cell_refused_before_any_pool_starts(self, tmp_path, monkeypatch):
-        kwargs = dict(base=small_config(realizations=2), sizes=(16, 32, 64), window_len=4, out_dir=tmp_path)
+        kwargs = dict(realizations=2, master_seed=123, sizes=(16, 32, 64), window_len=4, out_dir=tmp_path)
         phase_diagram_sweep([0.0], [0.0, 2.0], **kwargs)
         first, second = sorted((tmp_path / "cells").iterdir())
         first.unlink()
@@ -686,7 +715,7 @@ class TestCellFileTypes:
 
 
 class TestTaskStream:
-    SWEEP = dict(grid_alpha=[0.0, 4.0], grid_beta=[0.0, 4.0], base=small_config(realizations=5),
+    SWEEP = dict(grid_alpha=[0.0, 4.0], grid_beta=[0.0, 4.0], realizations=5, master_seed=123,
                  sizes=(16, 32, 64), window_len=4)
 
     @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
